@@ -27,6 +27,7 @@ def _run_with_policy(spec, machine, fid, policy):
     from repro.kernel.vm import VirtualMemory
     from repro.perf.counters import collect_counters
     from repro.perf.tracer import LttngTracer
+    from repro.trace import TraceBufferStream
     from repro.uarch.cache import Cache
     from repro.workloads.program import build_program
 
@@ -44,11 +45,11 @@ def _run_with_policy(spec, machine, fid, policy):
     core.event_hook = tracer.hook
     program = build_program(spec, seed=3, code_bloat=machine.code_bloat)
     program.premap(vm)
-    ops = program.ops()
-    core.consume(ops, max_instructions=fid.warmup_instructions)
+    stream = TraceBufferStream(filler=program.fill_buffer)
+    core.consume_stream(stream, fid.warmup_instructions)
     core.reset_stats()
     tracer.clear()
-    core.consume(ops, max_instructions=fid.measure_instructions)
+    core.consume_stream(stream, fid.measure_instructions)
     return collect_counters(core, tracer.counts)
 
 

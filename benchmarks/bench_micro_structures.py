@@ -205,8 +205,9 @@ def test_micro_engine_cpi(machine_i9, emit):
     rows = []
     for kind in _KINDS:
         ops = _kind_ops(kind)
-        # Shared pre-decoded buffers: the vector runs measure the
-        # engine (export + kernel + writeback), not trace decode.
+        # Shared pre-decoded buffers: both engines' runs measure the
+        # engine (for vector: export + kernel + writeback), not trace
+        # decode.
         stream0 = TraceBufferStream(ops=iter(ops))
         bufs = []
         while True:
@@ -223,12 +224,8 @@ def test_micro_engine_cpi(machine_i9, emit):
             for _ in range(_ROUNDS):
                 core = Core(machine_i9, VirtualMemory())
                 t0 = time.perf_counter_ns()
-                if engine == "legacy":
-                    n = core.consume(iter(ops))
-                else:
-                    n = core.consume_stream(
-                        TraceBufferStream(buffers=iter(bufs)),
-                        engine="vector")
+                n = core.consume_stream(
+                    TraceBufferStream(buffers=iter(bufs)), engine=engine)
                 best = min(best, time.perf_counter_ns() - t0)
             timing[engine] = best / n
             state[engine] = (core.counts.instructions, core._ideal_cycles,

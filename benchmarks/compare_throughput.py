@@ -11,9 +11,9 @@ PCT percent (in its improvement direction) makes the run exit 1.
 
 Gate scoping: raw throughput numbers move with the CI box, but same-run
 *ratios* (``speedup`` metrics — both sides measured in one process) are
-stable, so the CI gates narrow with ``--sections`` (only those top-level
-sections participate: ``engine,micro`` in the batched-engine job,
-``multicore`` in the vector-multicore job) and ``--gate-suffix speedup``
+stable, so the CI gate narrows with ``--sections`` (only those top-level
+sections participate: ``engine,micro,multicore`` in the vector-multicore
+job) and ``--gate-suffix speedup``
 (only metrics with that suffix can fail the gate; everything else stays
 report-only).  Sections nest arbitrarily — the flattener picks up e.g.
 ``multicore.core_counts.8.speedup`` and ``multicore.sampler.speedup``.

@@ -9,8 +9,8 @@ that training when the region is re-emitted at a new base address after a
 JIT event, which is the central mechanism behind the paper's cold-start
 findings (§VII-A1).
 
-The walker is the single hottest loop in the repository: everything it
-yields is a plain tuple from :mod:`repro.trace`.
+The walker is the single hottest loop of trace generation: it pushes
+ops straight onto the columns of a :class:`repro.trace.TraceBuffer`.
 """
 
 from __future__ import annotations
@@ -165,10 +165,10 @@ class CodeRegion:
         return self._pc[-1] + self._n_bytes[-1]
 
     # ------------------------------------------------------------------
-    def walk(self, rng: random.Random, n_instructions: int,
-             load_addr, store_addr, is_kernel: bool = False,
-             entry: int | None = None):
-        """Yield ops for roughly ``n_instructions`` of execution.
+    def walk_into(self, buf, rng: random.Random, n_instructions: int,
+                  load_addr, store_addr, is_kernel: bool = False,
+                  entry: int | None = None) -> None:
+        """Push ops for roughly ``n_instructions`` of execution into ``buf``.
 
         ``load_addr`` / ``store_addr`` are zero-argument callables
         producing data addresses (the data-locality model lives with the
@@ -181,81 +181,8 @@ class CodeRegion:
         BTB.  Entries and jump targets concentrate near the region start
         (hot paths): most dynamic execution covers ~10-20% of the static
         blocks, as in real code, so predictors and caches can train on it.
-        """
-        pcs = self._pc
-        n_other = self._n_other
-        n_bytes = self._n_bytes
-        p_taken = self._p_taken
-        n_loads = self._n_loads
-        n_stores = self._n_stores
-        is_loop = self._is_loop
-        trips = self._trips
-        taken_target = self._taken_target
-        n_blocks = self.n_blocks
-        hot_entries = self._hot_entries
-        n_hot = len(hot_entries)
-        n_chunks = self.n_chunks
-        chunk_bytes = self._chunk_bytes
-        off = 0                      # current chunk's address offset
-        if entry is None:
-            i = hot_entries[int(rng.random() ** 3 * n_hot)]
-        else:
-            i = entry % n_blocks
-        executed = 0
-        run_len = 0
-        while executed < n_instructions:
-            reps = trips[i] if is_loop[i] else 1
-            for rep in range(reps):
-                other = n_other[i]
-                if other:
-                    yield (OP_BLOCK, pcs[i] + off, other, n_bytes[i],
-                           is_kernel)
-                for _ in range(n_loads[i]):
-                    yield (OP_LOAD, load_addr())
-                for _ in range(n_stores[i]):
-                    yield (OP_STORE, store_addr())
-                executed += other + n_loads[i] + n_stores[i] + 1
-                branch_pc = pcs[i] + off + n_bytes[i] - 4
-                if rep < reps - 1:
-                    # Loop backedge: taken, target = same block.
-                    yield (OP_BRANCH, branch_pc, pcs[i] + off, True)
-                    continue
-                run_len += 1
-                if run_len >= 8:
-                    # Call/jump: almost always to a hot entry point (in
-                    # the home chunk); a small fraction excursions
-                    # anywhere in the full region (cold paths).
-                    run_len = 0
-                    if rng.random() < 0.98:
-                        j = hot_entries[int(rng.random() ** 3 * n_hot)]
-                        off = 0
-                    else:
-                        j = int(rng.random() * n_blocks)
-                        if n_chunks > 1:
-                            off = int(rng.random() * n_chunks) * chunk_bytes
-                    yield (OP_BRANCH, branch_pc, pcs[j] + off, True)
-                    i = j
-                else:
-                    taken = rng.random() < p_taken[i]
-                    if taken:
-                        j = taken_target[i]
-                        yield (OP_BRANCH, branch_pc, pcs[j] + off, True)
-                        i = j
-                    else:
-                        nxt = (i + 1) % n_blocks
-                        yield (OP_BRANCH, branch_pc, pcs[nxt] + off, False)
-                        i = nxt
-
-    def walk_into(self, buf, rng: random.Random, n_instructions: int,
-                  load_addr, store_addr, is_kernel: bool = False,
-                  entry: int | None = None) -> None:
-        """Push twin of :meth:`walk`: emit into a ``TraceBuffer``.
-
-        Identical control flow and RNG call order to :meth:`walk` — the
-        two must stay in lockstep so a pushed trace is bit-identical to a
-        pulled one.  Pushing onto the buffer's columns directly skips one
-        tuple build + one generator resume per op, which is most of the
-        generation cost.
+        Ops go straight onto the buffer's columns (see
+        :class:`repro.trace.TraceBuffer`).
         """
         pcs = self._pc
         n_other = self._n_other
@@ -314,6 +241,9 @@ class CodeRegion:
                     continue
                 run_len += 1
                 if run_len >= 8:
+                    # Call/jump: almost always to a hot entry point (in
+                    # the home chunk); a small fraction excursions
+                    # anywhere in the full region (cold paths).
                     run_len = 0
                     if random_() < 0.98:
                         j = hot_entries[int(random_() ** 3 * n_hot)]

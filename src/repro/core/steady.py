@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from repro.kernel.vm import VirtualMemory
 from repro.perf.counters import collect_counters
 from repro.perf.tracer import LttngTracer
+from repro.trace import TraceBufferStream
 from repro.uarch.machine import MachineConfig
 from repro.uarch.pipeline import Core
 from repro.workloads.program import build_program
@@ -81,11 +82,24 @@ class VarianceReport:
         return self.cpi_cv < threshold
 
 
-def _window(core: Core, tracer: LttngTracer, ops, n: int,
+def _process(spec: WorkloadSpec, machine: MachineConfig, seed: int):
+    """One warm-able simulated process: core, tracer and op stream."""
+    vm = VirtualMemory()
+    core = Core(machine, vm)
+    core.set_hints(spec.hints())
+    tracer = LttngTracer(machine.max_freq_hz)
+    core.event_hook = tracer.hook
+    program = build_program(spec, seed=seed,
+                            code_bloat=machine.code_bloat)
+    program.premap(vm)
+    return core, tracer, TraceBufferStream(filler=program.fill_buffer)
+
+
+def _window(core: Core, tracer: LttngTracer, stream, n: int,
             index: int) -> WindowMeasurement:
     core.reset_stats()
     tracer.clear()
-    core.consume(ops, max_instructions=n)
+    core.consume_stream(stream, n)
     c = collect_counters(core, tracer.counts)
     return WindowMeasurement(
         index=index, instructions=c.instructions, cycles=c.cycles,
@@ -99,16 +113,8 @@ def repeated_runs(spec: WorkloadSpec, machine: MachineConfig,
     """§III-A microbenchmark protocol: run ``runs`` windows, drop the
     first (cold) one.  All windows execute in one warm process, exactly
     like BenchmarkDotNet iterations."""
-    vm = VirtualMemory()
-    core = Core(machine, vm)
-    core.set_hints(spec.hints())
-    tracer = LttngTracer(machine.max_freq_hz)
-    core.event_hook = tracer.hook
-    program = build_program(spec, seed=seed,
-                            code_bloat=machine.code_bloat)
-    program.premap(vm)
-    ops = program.ops()
-    windows = tuple(_window(core, tracer, ops, window_instructions, i)
+    core, tracer, stream = _process(spec, machine, seed)
+    windows = tuple(_window(core, tracer, stream, window_instructions, i)
                     for i in range(runs))
     return VarianceReport(windows=windows, discarded_first=True)
 
@@ -119,17 +125,9 @@ def measure_after_warmup(spec: WorkloadSpec, machine: MachineConfig,
                          seed: int = 0) -> VarianceReport:
     """Warm up for ``warmup_instructions``, then measure several windows
     (no discard — the warmup replaces it)."""
-    vm = VirtualMemory()
-    core = Core(machine, vm)
-    core.set_hints(spec.hints())
-    tracer = LttngTracer(machine.max_freq_hz)
-    core.event_hook = tracer.hook
-    program = build_program(spec, seed=seed,
-                            code_bloat=machine.code_bloat)
-    program.premap(vm)
-    ops = program.ops()
-    core.consume(ops, max_instructions=warmup_instructions)
-    measured = tuple(_window(core, tracer, ops, window_instructions, i)
+    core, tracer, stream = _process(spec, machine, seed)
+    core.consume_stream(stream, warmup_instructions)
+    measured = tuple(_window(core, tracer, stream, window_instructions, i)
                      for i in range(windows))
     return VarianceReport(windows=measured, discarded_first=False)
 

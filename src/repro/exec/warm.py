@@ -11,9 +11,9 @@ safely reusable across jobs *within one worker process*:
   *before* any op is consumed.  Rehydrating the snapshot yields state
   bit-identical to constructing from scratch (the equivalence suite
   enforces this), so reuse is purely a wall-clock optimization.
-* **sealed trace buffers** — decoded chunks of a
+* **decoded trace buffers** — chunks of a
   :class:`~repro.exec.traces.TraceStore` entry, keyed by the trace
-  content key.  ``consume_buffer`` never mutates sealed columns and
+  content key.  Neither engine mutates a buffer's columns and
   single-core replay applies no transform, so the same chunks can feed
   any number of machine configs.  Only traces below an op cap are
   cached; longer ones keep the mmap streaming path so peak RSS stays
@@ -60,7 +60,7 @@ def file_identity(path) -> tuple | None:
 
 
 def _owned_copy(buf):
-    """A sealed buffer whose columns own their memory.
+    """A buffer whose columns own their memory.
 
     List-backed buffers already do; zero-copy (memoryview) columns are
     copied byte-for-byte into fresh memoryviews, preserving the exact
@@ -69,16 +69,12 @@ def _owned_copy(buf):
     from repro.trace import TraceBuffer
     if isinstance(buf.a0, list):
         return buf
-    new = TraceBuffer.from_columns(
+    return TraceBuffer.from_columns(
         memoryview(bytes(buf.kinds)),
         memoryview(bytes(buf.a0)).cast("q"),
         memoryview(bytes(buf.a1)).cast("q"),
         memoryview(bytes(buf.a2)).cast("q"),
         buf.events, buf.n_instructions)
-    # seal() products are fresh numpy allocations, never file-backed.
-    new.lines = buf.lines
-    new.line_ends = buf.line_ends
-    return new
 
 
 def _cache_ops_cap() -> int:
@@ -145,10 +141,10 @@ class WarmCache:
             self.evictions += 1
             obs.add("warm.evictions")
 
-    # -- decoded sealed trace chunks ------------------------------------
+    # -- decoded trace chunks -------------------------------------------
 
     def buffers(self, trace_key: str, identity=None):
-        """The cached sealed chunks for ``trace_key``, or ``None``.
+        """The cached chunks for ``trace_key``, or ``None``.
 
         ``identity`` (see :func:`file_identity`) must match the value
         recorded when the entry was cached; a mismatch — the trace file
@@ -176,7 +172,7 @@ class WarmCache:
 
     def put_buffers(self, trace_key: str, bufs: list,
                     identity=None) -> None:
-        """Cache sealed chunks, copied into process-owned memory.
+        """Cache decoded chunks, copied into process-owned memory.
 
         Chunks decoded zero-copy hold views into an mmap of the trace
         file; caching those would pin the map and — worse — SIGBUS if

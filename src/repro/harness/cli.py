@@ -32,7 +32,7 @@ import sys
 
 from repro.core.metrics import METRICS, metric_vector
 from repro.harness.report import format_table
-from repro.harness.runner import Fidelity
+from repro.harness.runner import ENGINES, Fidelity
 from repro.uarch.machine import get_machine
 from repro.workloads.aspnet import aspnet_specs
 from repro.workloads.dotnet import dotnet_category_specs
@@ -84,12 +84,11 @@ def main(argv: list[str] | None = None) -> int:
                         help="characterize every benchmark of one suite")
     parser.add_argument("--machine", default="i9",
                         choices=["xeon", "i9", "arm"])
-    parser.add_argument("--engine",
-                        choices=["legacy", "batched", "vector"],
+    parser.add_argument("--engine", choices=list(ENGINES),
                         default=os.environ.get("REPRO_ENGINE") or None,
-                        help="consume engine: tuple-at-a-time (legacy), "
-                             "SoA chunks (batched, default), or the "
-                             "native columnar kernel (vector); all are "
+                        help="consume engine: the native C kernel "
+                             "(vector, default) or the reference "
+                             "interpreter (legacy); both are "
                              "bit-identical (default: $REPRO_ENGINE)")
     parser.add_argument("--instructions", type=int, default=150_000,
                         help="measured instruction budget")
@@ -291,11 +290,11 @@ def main(argv: list[str] | None = None) -> int:
                   f"{args.bench_history}]", file=sys.stderr)
 
         if args.trace_out:
-            from repro.perf.trace_io import record
+            from repro.perf.trace_io import program_buffers, record_buffers
             from repro.workloads.program import build_program
             program = build_program(selected[0], seed=args.seed)
-            n = record(program.ops(), args.trace_out,
-                       max_instructions=args.instructions)
+            n = record_buffers(program_buffers(program, args.instructions),
+                               args.trace_out)
             print(f"\nrecorded {n} instructions to {args.trace_out}")
 
         if suite.failures:

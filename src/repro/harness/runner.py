@@ -27,7 +27,8 @@ from repro.perf.trace_io import TraceFormatError
 from repro.perf.tracer import LttngTracer
 from repro.runtime.gc import GcConfig
 from repro.runtime.heap import HeapConfig
-from repro.trace import TraceBufferStream
+from repro.trace import (REGION_HEAP_BASE, REGION_STACK_BASE,
+                         TraceBufferStream)
 from repro.uarch.machine import MachineConfig
 from repro.uarch.multicore import MulticoreRunner, MulticoreResult
 from repro.uarch.pipeline import Core
@@ -36,27 +37,23 @@ from repro.workloads.program import build_program
 from repro.workloads.spec import SuiteName, WorkloadSpec
 
 
-ENGINES = ("legacy", "batched", "vector")
+ENGINES = ("legacy", "vector")
 
 
 def resolve_engine(engine: str | None) -> str:
     """Resolve the consume-engine choice to one of :data:`ENGINES`.
 
     Priority: explicit ``engine`` argument > ``REPRO_ENGINE`` env var >
-    ``REPRO_LEGACY_CONSUME=1`` (the historical toggle) > ``"batched"``.
-    ``"vector"`` selects the native columnar kernel
-    (:mod:`repro.uarch.native`); it transparently falls back to the
-    batched path when the kernel is unavailable or the core uses a
-    configuration the kernel does not model, so resolution never fails
-    at this layer.  All engines are bit-identical (enforced by
+    ``"vector"``, the native C kernel (:mod:`repro.uarch.native`).
+    ``"legacy"`` is the op-at-a-time reference interpreter; ``vector``
+    delegates to it (counted and warned, see
+    :func:`repro.uarch.native.delegation_reason`) when the kernel is
+    unavailable or does not model the core, so resolution never fails
+    at this layer.  Both engines are bit-identical (enforced by
     tests/integration/test_batched_equivalence.py).
     """
     if engine is None:
-        engine = os.environ.get("REPRO_ENGINE") or None
-    if engine is None and os.environ.get("REPRO_LEGACY_CONSUME",
-                                         "0") not in ("", "0"):
-        engine = "legacy"
-    engine = engine or "batched"
+        engine = os.environ.get("REPRO_ENGINE") or "vector"
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}")
     return engine
@@ -140,8 +137,8 @@ def run_workload(spec: WorkloadSpec, machine: MachineConfig,
     store's checksum — e.g. a legacy entry without one) is quarantined
     and the run falls back to regenerating the trace instead of
     propagating the decode error.  ``engine`` selects the consume path
-    (see :func:`resolve_engine`; default batched, ``"vector"`` for the
-    native columnar kernel, legacy when ``REPRO_LEGACY_CONSUME=1``).
+    (see :func:`resolve_engine`: the native kernel by default,
+    ``"legacy"`` for the reference interpreter).
     """
     fidelity = fidelity or Fidelity.default()
     heap_config, gc_config = _heap_and_gc(spec, heap_config, gc_config)
@@ -159,9 +156,8 @@ def run_workload(spec: WorkloadSpec, machine: MachineConfig,
             compaction_enabled=compaction_enabled)
 
     engine = resolve_engine(engine)
-    legacy = engine == "legacy"
     trace_key = None
-    if trace_store is not None and not legacy:
+    if trace_store is not None:
         trace_key = trace_store.key_for(
             spec, seed=seed, code_bloat=machine.code_bloat,
             gc_config=gc_config, heap_config=heap_config,
@@ -189,45 +185,35 @@ def run_workload(spec: WorkloadSpec, machine: MachineConfig,
         core.set_hints(spec.hints())
         tracer = LttngTracer(machine.max_freq_hz)
         core.event_hook = tracer.hook
-        if legacy:
+        if trace_key is not None:
+            with obs.span("run.trace_ensure", workload=spec.name):
+                meta, _ = trace_store.ensure(
+                    trace_key, warmup + measure, make_program)
+            for start, length in meta["premap_ranges"]:
+                vm.premap_range(start, length)
+            identity = (_warm.file_identity(
+                trace_store.trace_path(trace_key))
+                if warm_cache is not None else None)
+            bufs = (warm_cache.buffers(trace_key, identity)
+                    if warm_cache is not None else None)
+            if (bufs is None and warm_cache is not None
+                    and meta.get("n_instructions", 0)
+                    <= warm_cache.max_buffer_ops):
+                bufs = list(trace_store.replay(trace_key))
+                warm_cache.put_buffers(trace_key, bufs, identity)
+            if bufs is not None:
+                source = TraceBufferStream(buffers=iter(bufs))
+            else:
+                source = TraceBufferStream(
+                    buffers=trace_store.replay(trace_key))
+        else:
             with obs.span("run.build_program", workload=spec.name):
                 program = make_program()
             program.premap(vm)
-            source = program.ops()
-            consume = core.consume
-        else:
-            def consume(source, max_instructions=None, _core=core):
-                return _core.consume_stream(source, max_instructions,
-                                            engine=engine)
-            if trace_key is not None:
-                with obs.span("run.trace_ensure", workload=spec.name):
-                    meta, _ = trace_store.ensure(
-                        trace_key, warmup + measure, make_program)
-                for start, length in meta["premap_ranges"]:
-                    vm.premap_range(start, length)
-                identity = (_warm.file_identity(
-                    trace_store.trace_path(trace_key))
-                    if warm_cache is not None else None)
-                bufs = (warm_cache.buffers(trace_key, identity)
-                        if warm_cache is not None else None)
-                if (bufs is None and warm_cache is not None
-                        and meta.get("n_instructions", 0)
-                        <= warm_cache.max_buffer_ops):
-                    bufs = list(trace_store.replay(trace_key))
-                    warm_cache.put_buffers(trace_key, bufs, identity)
-                if bufs is not None:
-                    source = TraceBufferStream(buffers=iter(bufs))
-                else:
-                    source = TraceBufferStream(
-                        buffers=trace_store.replay(trace_key))
-            else:
-                with obs.span("run.build_program", workload=spec.name):
-                    program = make_program()
-                program.premap(vm)
-                source = TraceBufferStream(filler=program.fill_buffer)
+            source = TraceBufferStream(filler=program.fill_buffer)
         with obs.span("run.warmup", workload=spec.name,
                       instructions=warmup):
-            consume(source, max_instructions=warmup)
+            core.consume_stream(source, warmup, engine=engine)
         core.reset_stats()
         tracer.clear()
         sampler = None
@@ -236,7 +222,7 @@ def run_workload(spec: WorkloadSpec, machine: MachineConfig,
                                      interval_seconds=sample_interval)
         with obs.span("run.measure", workload=spec.name,
                       instructions=measure):
-            consume(source, max_instructions=measure)
+            core.consume_stream(source, measure, engine=engine)
         samples = sampler.finish() if sampler is not None else None
         counters = collect_counters(core, tracer.counts,
                                     cpu_utilization=spec.cpu_utilization)
@@ -267,41 +253,11 @@ def run_with_sampling(spec: WorkloadSpec, machine: MachineConfig,
     return run_workload(spec, machine, fidelity, sampling=True, **kwargs)
 
 
-#: Address ranges that are private per thread/worker in a threaded server
-#: (nursery + stacks + request buffers + per-connection kernel buffers);
-#: code and long-lived shared state keep common addresses across cores.
-from repro.trace import (OP_LOAD as _OPL, OP_STORE as _OPS,
-                         REGION_HEAP_BASE as _HEAP,
-                         REGION_STACK_BASE as _STACK)
-
-#: Heap (worker allocation contexts) and stacks are thread-private;
-#: code, long-lived shared state and kernel slab buffers are shared.
-_PRIVATE_SPANS = ((_HEAP, _HEAP + (1 << 34)),
-                  (_STACK, _STACK + (1 << 28)))
-
-
-def _color_ops(ops, core_id: int):
-    """Offset per-thread-private data addresses by a per-core color.
-
-    Threads of one server process share code (same PCs) and the long-
-    lived heap structure, but each worker has its own allocation context,
-    stack and connection buffers.  Coloring those ranges keeps the shared
-    LLC seeing distinct lines per core, as real servers do.
-    """
-    if core_id == 0:
-        yield from ops
-        return
-    color = core_id << 40
-    spans = _PRIVATE_SPANS
-    for op in ops:
-        kind = op[0]
-        if kind == _OPL or kind == _OPS:
-            addr = op[1]
-            for lo, hi in spans:
-                if lo <= addr < hi:
-                    op = (kind, addr + color)
-                    break
-        yield op
+#: Address ranges that are private per thread/worker in a threaded server:
+#: heap (worker allocation contexts) and stacks.  Code, long-lived shared
+#: state and kernel slab buffers keep common addresses across cores.
+_PRIVATE_SPANS = ((REGION_HEAP_BASE, REGION_HEAP_BASE + (1 << 34)),
+                  (REGION_STACK_BASE, REGION_STACK_BASE + (1 << 28)))
 
 
 def run_multicore(spec: WorkloadSpec, machine: MachineConfig,
@@ -315,18 +271,20 @@ def run_multicore(spec: WorkloadSpec, machine: MachineConfig,
 
     Cores model worker threads of one server process: identical code
     (same seed -> same method layout, so code lines are shared in the
-    LLC) with per-core private data (see :func:`_color_ops`).  Warm up
-    all cores, reset, then measure — returns the multicore result plus
-    the Top-Down profile and counters of core 0 (cores are symmetric).
+    LLC) with per-core private data: each core but core 0 offsets its
+    heap and stack addresses by a per-core color, one vectorized mask
+    per chunk (:meth:`repro.trace.TraceBuffer.color_private`), so the
+    shared LLC sees distinct lines per core, as real servers do.  Warm
+    up all cores, reset, then measure — returns the multicore result
+    plus the Top-Down profile and counters of core 0 (cores are
+    symmetric).
 
-    On the batched engine, per-core address coloring is one vectorized
-    mask per chunk (:meth:`repro.trace.TraceBuffer.color_private`)
-    instead of one tuple rebuild per memory op.  ``engine="vector"``
-    runs the whole interleaved round loop on the native kernel: per-core
-    images stay resident across quanta, the shared LLC (slice-hashed
-    epoch counters, contention-folded latency) is modeled in C, and
-    Python's M/M/1 ``update_contention`` runs unchanged at every epoch
-    boundary — bit-identical to batched at any core count.
+    The default engine runs the whole interleaved round loop on the
+    native kernel: per-core images stay resident across quanta, the
+    shared LLC (slice-hashed epoch counters, contention-folded latency)
+    is modeled in C, and Python's M/M/1 ``update_contention`` runs
+    unchanged at every epoch boundary — bit-identical to the legacy
+    interpreter at any core count.
 
     ``trace_store`` makes the per-core op streams record-once/
     replay-many (keys are suffixed per core, since each core's program
@@ -339,7 +297,6 @@ def run_multicore(spec: WorkloadSpec, machine: MachineConfig,
     heap_config, gc_config = _heap_and_gc(spec, None, None)
     programs = {}
     engine = resolve_engine(engine)
-    legacy = engine == "legacy"
     warmup = int(fidelity.warmup_instructions
                  * fidelity.aspnet_warmup_factor)
     measure = fidelity.measure_instructions
@@ -363,10 +320,6 @@ def run_multicore(spec: WorkloadSpec, machine: MachineConfig,
     premap_ranges = {}
 
     def factory(core_id: int):
-        if legacy:
-            program = make_program(core_id)
-            programs[core_id] = program
-            return _color_ops(program.ops(), core_id), spec.hints()
         if trace_store is not None:
             from repro.exec.traces import trace_fingerprint
             key = trace_store.key_for(

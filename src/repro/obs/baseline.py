@@ -12,10 +12,13 @@ Storage is an append-only JSONL file (``bench_history.jsonl``) written
 under the same cross-process discipline as the scheduler's cost model
 sidecar: appends take an exclusive ``flock`` on ``<path>.lock``, so
 concurrent CI shards interleave whole records, never torn lines.  Each
-record keys a series by ``(key, engine, fidelity)`` where ``key`` is
-the scheduler's :func:`~repro.exec.costmodel.cost_key` — the
+record keys a series by ``(key, fidelity)`` where ``key`` is the
+scheduler's :func:`~repro.exec.costmodel.cost_key` — the
 work-determining inputs — so histories survive result-cache
-invalidation but fork when the engine or instruction budget changes.
+invalidation but fork when the instruction budget changes.  The engine
+does not fork a series: engines are bit-identical by contract, so a
+record's ``engine`` is provenance only and switching engines keeps the
+history judging.
 
 Detection runs an EWMA mean/variance over each series and judges the
 *newest* sample with a z-score.  Deterministic series have zero
@@ -83,9 +86,8 @@ def make_record(*, key: str, workload: str, engine: str, fidelity: str,
     return rec
 
 
-def series_key(rec: dict) -> tuple[str, str, str]:
-    return (str(rec.get("key")), str(rec.get("engine")),
-            str(rec.get("fidelity")))
+def series_key(rec: dict) -> tuple[str, str]:
+    return (str(rec.get("key")), str(rec.get("fidelity")))
 
 
 class BaselineStore:
@@ -145,9 +147,9 @@ class BaselineStore:
                 out.append(rec)
         return out
 
-    def series(self) -> dict[tuple[str, str, str], list[dict]]:
-        """``(key, engine, fidelity) -> records`` in append order."""
-        out: dict[tuple[str, str, str], list[dict]] = {}
+    def series(self) -> dict[tuple[str, str], list[dict]]:
+        """``(key, fidelity) -> records`` in append order."""
+        out: dict[tuple[str, str], list[dict]] = {}
         for rec in self.load():
             out.setdefault(series_key(rec), []).append(rec)
         return out
@@ -197,9 +199,10 @@ def detect(records: list[dict], *, metrics: tuple[str, ...] = GATED_METRICS,
     """Judge every (series, metric) pair; one verdict row each.
 
     Rows are sorted worst-first (regressions, then by |z|) so the
-    verdict table leads with what matters.
+    verdict table leads with what matters.  A row's ``engine`` is the
+    newest record's (provenance; it does not key the series).
     """
-    by_series: dict[tuple[str, str, str], list[dict]] = {}
+    by_series: dict[tuple[str, str], list[dict]] = {}
     for rec in records:
         by_series.setdefault(series_key(rec), []).append(rec)
     rows: list[dict] = []
@@ -211,8 +214,8 @@ def detect(records: list[dict], *, metrics: tuple[str, ...] = GATED_METRICS,
                 continue
             row = judge_series(values, **judge_kwargs)
             row.update({"workload": recs[-1].get("workload") or key[0],
-                        "key": key[0], "engine": key[1],
-                        "fidelity": key[2], "metric": metric})
+                        "key": key[0], "engine": recs[-1].get("engine"),
+                        "fidelity": key[1], "metric": metric})
             rows.append(row)
     order = {"regression": 0, "improvement": 1, "ok": 2, "insufficient": 3}
     rows.sort(key=lambda r: (order.get(r["verdict"], 9),
@@ -225,8 +228,8 @@ def records_for_suite(results, *, machine, fidelity, engine: str,
     """Baseline records for a finished suite's ``RunResult`` list.
 
     Keys each record with the scheduler's cost key so histories line
-    up with what the fleet already tracks, and stamps the engine and
-    fidelity spelling the series forks on.
+    up with what the fleet already tracks, and stamps the fidelity
+    spelling the series forks on plus the engine as provenance.
     """
     from repro.exec.costmodel import cost_key
     from repro.exec.jobs import JobSpec

@@ -259,8 +259,7 @@ def render_regress(history: str | Path, markdown: bool = False,
              f"{v['z']:.1f}" if v["z"] is not None else "-",
              v["verdict"]] for v in verdicts]
     n_regressions = sum(1 for v in verdicts if v["verdict"] == "regression")
-    n_series = len({(v["key"], v["engine"], v["fidelity"])
-                    for v in verdicts})
+    n_series = len({(v["key"], v["fidelity"]) for v in verdicts})
     body = _table(["workload", "engine", "fidelity", "metric", "baseline",
                    "latest", "delta", "z", "verdict"], rows, markdown)
     summary = (f"{n_regressions} regression(s) across {n_series} "

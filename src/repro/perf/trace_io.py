@@ -132,6 +132,22 @@ def record_buffers(buffers, path) -> int:
     return n_instr
 
 
+def program_buffers(program, n_instructions: int):
+    """Chunks pushed by ``program.fill_buffer`` until at least
+    ``n_instructions`` are emitted (feed them to :func:`record_buffers`).
+
+    Chunks end on generation boundaries, so the total may overshoot
+    ``n_instructions`` by part of one work item.
+    """
+    emitted = 0
+    while emitted < n_instructions:
+        buf = TraceBuffer()
+        program.fill_buffer(buf, min(_RECORD_CHUNK_INSTRUCTIONS,
+                                     n_instructions - emitted))
+        emitted += buf.n_instructions
+        yield buf
+
+
 def record(ops, path, max_instructions: int | None = None) -> int:
     """Write ``ops`` to ``path``; returns the instruction count recorded.
 
@@ -193,7 +209,7 @@ def _use_mmap_default() -> bool:
 
 
 def _decode_chunks_v2(data, mm=None):
-    """Yield sealed buffers with zero-copy columns over ``data``.
+    """Yield buffers with zero-copy columns over ``data``.
 
     ``data`` is anything exposing the buffer protocol (bytes or an
     ``mmap.mmap``).  When ``mm`` is the backing mmap, pages of fully
@@ -236,7 +252,7 @@ def _decode_chunks_v2(data, mm=None):
             raise TraceFormatError(
                 f"corrupt event table: {exc}") from exc
         pos += ev_len
-        buf = TraceBuffer.from_columns(kinds, *cols, events, n_instr).seal()
+        buf = TraceBuffer.from_columns(kinds, *cols, events, n_instr)
         if _t0 is not None:
             obs.observe("sim.trace_decode_seconds",
                         time.perf_counter() - _t0)
@@ -255,7 +271,7 @@ def _decode_chunks_v2(data, mm=None):
 
 
 def replay_buffers(path, *, use_mmap: bool | None = None):
-    """Yield sealed :class:`TraceBuffer` chunks from a recorded trace.
+    """Yield :class:`TraceBuffer` chunks from a recorded trace.
 
     The fast replay path: feeds
     :meth:`repro.uarch.pipeline.Core.consume_stream` directly via
@@ -290,7 +306,7 @@ def replay_buffers(path, *, use_mmap: bool | None = None):
             buf = TraceBuffer()
             done = buf.fill_from(ops, _RECORD_CHUNK_INSTRUCTIONS)
             if buf.kinds:
-                yield buf.seal()
+                yield buf
             if done:
                 return
     elif use_mmap:

@@ -19,8 +19,7 @@ from repro.runtime.gc import GarbageCollector, GcConfig
 from repro.seeding import stable_seed
 from repro.runtime.heap import HeapConfig, LongLivedSet, ManagedHeap
 from repro.runtime.jit import JitCompiler, Method
-from repro.trace import (OP_BLOCK, OP_EVENT, OP_STORE,
-                         EV_GC_ALLOCATION_TICK, EV_EXCEPTION, EV_CONTENTION,
+from repro.trace import (EV_GC_ALLOCATION_TICK, EV_EXCEPTION, EV_CONTENTION,
                          REGION_CLR_CODE_BASE, REGION_STACK_BASE)
 
 #: The CLR's own precompiled code: large and branchy.  These footprints are
@@ -133,9 +132,6 @@ class Clr:
         self.gc.check_heap_fits(long_lived_count * long_lived_slot
                                 + cold_live_bytes)
         self._stack_ptr = REGION_STACK_BASE
-        #: (addr, size) of the most recent alloc_large (generators cannot
-        #: return values to ``yield from`` callers without ceremony)
-        self._last_loh: tuple[int, int] = (0, 0)
 
     # -- method management ----------------------------------------------
     def register_method(self, method: Method) -> None:
@@ -148,38 +144,21 @@ class Clr:
     def methods(self) -> dict[int, Method]:
         return self._methods
 
-    def ensure_jitted(self, method: Method):
-        """Yield JIT ops if the method needs (re)compilation."""
+    def ensure_jitted_into(self, buf, method: Method) -> None:
+        """Push JIT ops if the method needs (re)compilation."""
         if method.region is None:
             if method.prejit_base is not None:
                 method.materialize()        # R2R code: no JIT event
             else:
-                yield from self.jit.compile(method, tier=0)
+                self.jit.compile_into(buf, method, tier=0)
         elif self.jit.needs_tiering(method):
-            yield from self.jit.compile(method, tier=1)
+            self.jit.compile_into(buf, method, tier=1)
 
-    def enter_method(self, method: Method):
+    def enter_method_into(self, buf, method: Method) -> None:
         """Call prologue: JIT if needed, account the call, apply churn."""
         method.call_count += 1
         self.stats.method_calls += 1
-        yield from self.ensure_jitted(method)
-        if self.churn_per_call > 0:
-            self._churn_accum += self.churn_per_call
-            n = int(self._churn_accum)
-            if n:
-                self._churn_accum -= n
-                self._churn_live_set(n)
-
-    def enter_method_into(self, buf, method: Method) -> None:
-        """Push twin of :meth:`enter_method`.
-
-        JIT/tiering op streams are rare and stay generator-based (drained
-        through ``buf.extend``), so compilation semantics live in one
-        place; only the per-call bookkeeping is duplicated.
-        """
-        method.call_count += 1
-        self.stats.method_calls += 1
-        buf.extend(self.ensure_jitted(method))
+        self.ensure_jitted_into(buf, method)
         if self.churn_per_call > 0:
             self._churn_accum += self.churn_per_call
             n = int(self._churn_accum)
@@ -206,8 +185,9 @@ class Clr:
         ls.scatter(indices, new_addrs)
 
     # -- allocation -------------------------------------------------------
-    def allocate_batch(self, n: int, mean_size: int | None = None):
-        """Allocate ``n`` short-lived objects; yields allocator + init ops.
+    def allocate_batch_into(self, buf, n: int,
+                            mean_size: int | None = None) -> None:
+        """Allocate ``n`` short-lived objects; push allocator + init ops.
 
         Checks the GC trigger afterwards (allocation is the safe point).
         """
@@ -219,44 +199,21 @@ class Clr:
         for _ in range(n):
             size = max(16, int(rng.expovariate(1.0 / mean_size)))
             if size >= loh_threshold:
-                yield from self.alloc_large(size)
-                continue
-            addr = heap.allocate(size)
-            yield (OP_BLOCK, alloc_pc, self.ALLOC_FASTPATH_INSTR, 64, False)
-            # Object initialization: header + field stores.
-            for off in range(0, min(size, 256), 64):
-                yield (OP_STORE, addr + off)
-        self.stats.allocations += n
-        for _ in range(heap.take_allocation_ticks()):
-            yield (OP_EVENT, EV_GC_ALLOCATION_TICK, None)
-        if heap.needs_collection:
-            yield from self.maybe_collect()
-
-    def allocate_batch_into(self, buf, n: int,
-                            mean_size: int | None = None) -> None:
-        """Push twin of :meth:`allocate_batch` — same RNG call order."""
-        heap = self.heap
-        rng = self.rng
-        mean_size = mean_size or heap.config.object_size_mean
-        alloc_pc = self.image.regions["alloc"].base
-        loh_threshold = heap.config.loh_threshold_bytes
-        for _ in range(n):
-            size = max(16, int(rng.expovariate(1.0 / mean_size)))
-            if size >= loh_threshold:
-                buf.extend(self.alloc_large(size))
+                self.alloc_large_into(buf, size)
                 continue
             addr = heap.allocate(size)
             buf.block(alloc_pc, self.ALLOC_FASTPATH_INSTR, 64)
+            # Object initialization: header + field stores.
             for off in range(0, min(size, 256), 64):
                 buf.store(addr + off)
         self.stats.allocations += n
         for _ in range(heap.take_allocation_ticks()):
             buf.event(EV_GC_ALLOCATION_TICK, None)
         if heap.needs_collection:
-            buf.extend(self.maybe_collect())
+            self.maybe_collect_into(buf)
 
-    def alloc_large(self, size: int, zero: bool = True):
-        """Allocate on the Large Object Heap (big arrays/buffers).
+    def alloc_large_into(self, buf, size: int, zero: bool = True) -> int:
+        """Allocate on the Large Object Heap; returns the object's address.
 
         The LOH allocator path is slower (free-list search, no bump fast
         path) and large objects are zero-initialized: a sequential store
@@ -265,52 +222,49 @@ class Clr:
         """
         addr = self.heap.loh_alloc(size)
         alloc_pc = self.image.regions["alloc"].base + 2048
-        yield (OP_BLOCK, alloc_pc, self.ALLOC_FASTPATH_INSTR * 4, 256,
-               False)
+        buf.block(alloc_pc, self.ALLOC_FASTPATH_INSTR * 4, 256)
         if zero:
             step = 64
             for off in range(0, min(size, 16 * 1024), step):
-                yield (OP_STORE, addr + off)
+                buf.store(addr + off)
         self.stats.allocations += 1
-        self._last_loh = (addr, size)
-        return
+        return addr
 
     def free_large(self, addr: int, size: int) -> None:
         """Release a large object's segment for reuse."""
         self.heap.loh_free(addr, size)
 
-    def maybe_collect(self):
+    def maybe_collect_into(self, buf) -> None:
         """Run a collection if the heap has requested one."""
-        if not self.heap.needs_collection:
-            return
-        yield from self.gc.collect(self.heap, self.live_set,
-                                   compact=self.compaction_enabled)
+        if self.heap.needs_collection:
+            self.gc.collect_into(buf, self.heap, self.live_set,
+                                 compact=self.compaction_enabled)
 
     # -- exceptional control flow ------------------------------------------
-    def throw_exception(self):
+    def throw_exception_into(self, buf) -> None:
         """First-chance exception: unwinder walk through CLR code."""
         self.stats.exceptions_thrown += 1
-        yield (OP_EVENT, EV_EXCEPTION, None)
+        buf.event(EV_EXCEPTION, None)
         rng = self.rng
         sp = self._stack_ptr
 
         def stack_addr() -> int:
             return sp + int(rng.random() * 64) * 64
 
-        yield from self.image.regions["exception"].walk(
-            rng, 2200, load_addr=stack_addr, store_addr=stack_addr)
+        self.image.regions["exception"].walk_into(
+            buf, rng, 2200, load_addr=stack_addr, store_addr=stack_addr)
 
-    def contend_lock(self):
+    def contend_lock_into(self, buf) -> None:
         """Contended monitor enter: spin, then futex into the kernel."""
         self.stats.contentions += 1
-        yield (OP_EVENT, EV_CONTENTION, None)
+        buf.event(EV_CONTENTION, None)
         rng = self.rng
         lock_addr = REGION_STACK_BASE + 0x10000
 
         def lock_load() -> int:
             return lock_addr
 
-        yield from self.image.regions["threading"].walk(
-            rng, 600, load_addr=lock_load, store_addr=lock_load)
+        self.image.regions["threading"].walk_into(
+            buf, rng, 600, load_addr=lock_load, store_addr=lock_load)
         if self.syscalls is not None:
-            yield from self.syscalls.emit(SyscallKind.FUTEX, rng)
+            self.syscalls.emit_into(buf, SyscallKind.FUTEX, rng)

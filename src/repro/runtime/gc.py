@@ -22,8 +22,7 @@ from dataclasses import dataclass
 
 from repro.codegen import CodeRegion
 from repro.runtime.heap import ManagedHeap, LongLivedSet
-from repro.trace import (OP_BLOCK, OP_BRANCH, OP_LOAD, OP_STORE, OP_EVENT,
-                         EV_GC_TRIGGERED, EV_GC_COMPLETED)
+from repro.trace import EV_GC_TRIGGERED, EV_GC_COMPLETED
 
 WORKSTATION = "workstation"
 SERVER = "server"
@@ -131,9 +130,9 @@ class GarbageCollector:
                 f"for a {long_lived_bytes}-byte live set but max heap is "
                 f"{self.config.max_heap_bytes}")
 
-    def collect(self, heap: ManagedHeap, live_set: LongLivedSet,
-                compact: bool = True):
-        """Run one collection; yields trace ops and compacts ``live_set``.
+    def collect_into(self, buf, heap: ManagedHeap, live_set: LongLivedSet,
+                     compact: bool = True) -> None:
+        """Run one collection: push its ops into ``buf``, compact ``live_set``.
 
         ``compact=False`` is the ablation mode: mark-sweep without moving
         objects — all the GC instruction overhead, none of the locality
@@ -141,7 +140,7 @@ class GarbageCollector:
         """
         st = self.stats
         st.triggered += 1
-        yield (OP_EVENT, EV_GC_TRIGGERED, st.triggered)
+        buf.event(EV_GC_TRIGGERED, st.triggered)
         code = self.code
         n_live = live_set.count
         slot = live_set.slot_bytes
@@ -177,16 +176,16 @@ class GarbageCollector:
         mark_pc = code.base + 128
         emitted_instr = 0
         for k, i in enumerate(mark_idxs):
-            yield (OP_LOAD, addrs[i])
-            yield (OP_BLOCK, mark_pc, 3, 24, False)
+            buf.load(addrs[i])
+            buf.block(mark_pc, 3, 24)
             emitted_instr += 4
             if k % 8 == 0:
-                yield (OP_BRANCH, mark_pc + 20, mark_pc, True)
+                buf.branch(mark_pc + 20, mark_pc, True)
                 emitted_instr += 1
         # Account the un-emitted remainder of the mark work.
         remainder = max(0, mark_instr - emitted_instr)
         if remainder:
-            yield (OP_BLOCK, mark_pc + 256, remainder, 2048, False)
+            buf.block(mark_pc + 256, remainder, 2048)
 
         # --- compact phase ----------------------------------------------
         # Ephemeral: promote nursery survivors into packed gen2 space.
@@ -211,13 +210,13 @@ class GarbageCollector:
                                 max(1, int(len(moves) * work_scale)))]
         copy_pc = code.base + 4096
         for old, new in emit_moves:
-            yield (OP_LOAD, old)
-            yield (OP_STORE, new)
-            yield (OP_BLOCK, copy_pc, 2, 16, False)
+            buf.load(old)
+            buf.store(new)
+            buf.block(copy_pc, 2, 16)
         remainder = max(0, compact_instr - 4 * len(emit_moves))
         if remainder:
-            yield (OP_BLOCK, copy_pc + 256, remainder, 2048, False)
+            buf.block(copy_pc + 256, remainder, 2048)
 
         st.gc_instructions += mark_instr + compact_instr
         heap.reset_nursery()
-        yield (OP_EVENT, EV_GC_COMPLETED, moved_bytes)
+        buf.event(EV_GC_COMPLETED, moved_bytes)

@@ -19,9 +19,8 @@ import random
 from dataclasses import dataclass
 
 from repro.codegen import CodeRegion, MixProfile
-from repro.trace import (OP_BLOCK, OP_EVENT, OP_STORE, EV_JIT_STARTED,
-                         EV_JIT_CODE_EMITTED, EV_JIT_CODE_MOVED,
-                         REGION_JIT_CODE_BASE)
+from repro.trace import (EV_JIT_STARTED, EV_JIT_CODE_EMITTED,
+                         EV_JIT_CODE_MOVED, REGION_JIT_CODE_BASE)
 
 
 @dataclass
@@ -101,10 +100,10 @@ class JitCompiler:
         self._code_ptr += (size + 63) & ~63
         return addr
 
-    def compile(self, method: Method, tier: int = 0):
-        """Yield the op stream of compiling ``method``; emits its code."""
+    def compile_into(self, buf, method: Method, tier: int = 0) -> None:
+        """Push the op stream of compiling ``method``; emits its code."""
         st = self.stats
-        yield (OP_EVENT, EV_JIT_STARTED, method.id)
+        buf.event(EV_JIT_STARTED, method.id)
         emitted_size = int(method.size_bytes * self.code_bloat
                            * (self.TIER1_SIZE_FACTOR if tier >= 1 else 1.0))
         work = int(self.BASE_INSTRUCTIONS
@@ -126,8 +125,8 @@ class JitCompiler:
                 return meta_base + int(rng.random() ** 2 * hot_lines) * 64
             return il_base + int(rng.random() * il_lines) * 64
 
-        yield from self.code.walk(rng, work, load_addr=meta_addr,
-                                  store_addr=meta_addr, is_kernel=False)
+        self.code.walk_into(buf, rng, work, load_addr=meta_addr,
+                            store_addr=meta_addr)
         old_region = method.region
         if old_region is not None and self.reuse_code_pages:
             new_base = old_region.base
@@ -135,16 +134,15 @@ class JitCompiler:
             new_base = self._alloc_code(emitted_size)
         # Writing out the compiled code: sequential stores.
         for off in range(0, emitted_size, 64):
-            yield (OP_STORE, new_base + off)
-        yield (OP_BLOCK, self.code.base + 64, max(1, emitted_size // 16),
-               256, False)
+            buf.store(new_base + off)
+        buf.block(self.code.base + 64, max(1, emitted_size // 16), 256)
         # ISA-hook metadata (§VIII): tell the hardware where the code is,
         # and — on re-JIT — where it came from.
         if old_region is not None and old_region.base != new_base:
-            yield (OP_EVENT, EV_JIT_CODE_MOVED,
-                   (old_region.base, new_base, emitted_size))
+            buf.event(EV_JIT_CODE_MOVED,
+                      (old_region.base, new_base, emitted_size))
         else:
-            yield (OP_EVENT, EV_JIT_CODE_EMITTED, (new_base, emitted_size))
+            buf.event(EV_JIT_CODE_EMITTED, (new_base, emitted_size))
         method.region = CodeRegion(new_base, emitted_size,
                                    seed=method.seed, mix=method.mix)
         method.tier = tier

@@ -2,9 +2,9 @@
 
 Workload programs (:mod:`repro.workloads`), the managed runtime
 (:mod:`repro.runtime`) and the OS model (:mod:`repro.kernel`) all *emit*
-operation tuples; the core pipeline model (:mod:`repro.uarch.pipeline`)
-*consumes* them.  Plain tuples with an integer opcode keep the hot loop
-fast — a run simulates 10^5-10^6 of these.
+operations; the core pipeline model (:mod:`repro.uarch.pipeline`)
+*consumes* them.  Each operation is an integer opcode plus arguments,
+written below in its tuple form.
 
 Operation tuples
 ----------------
@@ -26,17 +26,16 @@ Operation tuples
     A runtime event marker (not an instruction): forwarded to the tracer /
     sampler.  ``kind`` is one of the ``EV_*`` constants.
 
-Batched form
-------------
+Buffered form
+-------------
 
-:class:`TraceBuffer` holds the same operations in structure-of-arrays
-form — four parallel columns (opcode, arg0..arg2) plus an event
-side-table — so the batched consume loop
-(:meth:`repro.uarch.pipeline.Core.consume_buffer`) can pre-decode
-addresses vectorized and index plain lists instead of unpacking one
-tuple per op.  :class:`TraceBufferStream` chunks an op source into
-sealed buffers; :meth:`TraceBuffer.iter_ops` converts back to tuples, so
-either representation can feed either consume path.
+Generators push ops straight into a :class:`TraceBuffer`, which holds
+them in structure-of-arrays form — four parallel columns (opcode,
+arg0..arg2) plus an event side-table — and both consume engines read
+those columns (:meth:`repro.uarch.pipeline.Core.consume_stream`).
+:class:`TraceBufferStream` chunks a push generator, a trace replay or a
+finite tuple sequence into buffers; :meth:`TraceBuffer.iter_ops`
+converts back to tuples.
 
 Address-space layout
 --------------------
@@ -49,11 +48,7 @@ uniqueness.
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
-
-from repro import obs
 
 # --- operation opcodes -------------------------------------------------
 OP_BLOCK = 0
@@ -106,7 +101,7 @@ REGION_KERNEL_DATA_BASE = 0xFFFF_C000_0000
 PAGE_SIZE = 4096
 
 
-# --- batched structure-of-arrays buffers --------------------------------
+# --- structure-of-arrays buffers ----------------------------------------
 
 #: OP_BLOCK packs ``n_bytes | (kernel << BLOCK_KERNEL_SHIFT)`` into column
 #: a2.  Bit 32 leaves the full u32 range for block byte counts while
@@ -133,13 +128,11 @@ class TraceBuffer:
 
     Event ``(kind, payload)`` pairs live in the ``events`` side-table,
     indexed by a0 — payloads are arbitrary Python objects and must not
-    constrain the hot columns.  :meth:`seal` pre-decodes the address
-    columns vectorized (cache line, line of the last block byte) so the
-    consume loop never shifts per op.
+    constrain the hot columns.
     """
 
     __slots__ = ("kinds", "a0", "a1", "a2", "events", "n_instructions",
-                 "lines", "line_ends", "_vcols")
+                 "_vcols")
 
     def __init__(self) -> None:
         self.kinds: list[int] = []
@@ -148,17 +141,14 @@ class TraceBuffer:
         self.a2: list[int] = []
         self.events: list[tuple] = []
         self.n_instructions = 0
-        self.lines: list[int] | None = None
-        self.line_ends: list[int] | None = None
-        # Per-buffer cache of the vector engine's derived columns
-        # (numpy views, prev-occurrence indexes, per-window segments);
-        # owned by repro.uarch.vector, invalidated with the columns.
+        # The native kernel's int64 copies of the columns, cached by
+        # repro.uarch.native._columns; invalidated when a column changes.
         self._vcols = None
 
     def __len__(self) -> int:
         return len(self.kinds)
 
-    # -- push emitters (the batched twins of yielding a tuple) ----------
+    # -- push emitters --------------------------------------------------
     def block(self, pc: int, n_instr: int, n_bytes: int,
               kernel: bool = False) -> None:
         self.kinds.append(OP_BLOCK)
@@ -195,11 +185,7 @@ class TraceBuffer:
         self.a2.append(0)
         self.events.append((kind, payload))
 
-    # -- generator-compatibility adapters -------------------------------
-    def extend(self, ops) -> None:
-        """Append every op tuple from ``ops`` (drains generators eagerly)."""
-        self.fill_from(iter(ops), None)
-
+    # -- tuple adapters -------------------------------------------------
     def fill_from(self, ops_iter, max_instructions: int | None) -> bool:
         """Pull ops until ``max_instructions`` more are buffered.
 
@@ -251,7 +237,7 @@ class TraceBuffer:
         return True
 
     def iter_ops(self):
-        """Yield the buffered ops back as plain tuples (legacy consume)."""
+        """Yield the buffered ops back as plain tuples."""
         kinds = self.kinds
         a0 = self.a0
         a1 = self.a1
@@ -275,8 +261,9 @@ class TraceBuffer:
     def color_private(self, spans, color: int) -> None:
         """Offset load/store addresses inside ``spans`` by ``color``.
 
-        The buffer-level form of :func:`repro.harness.runner._color_ops`:
-        one vectorized mask instead of one tuple rebuild per memory op.
+        Per-core address coloring for multicore runs (see
+        :func:`repro.harness.runner.run_multicore`): one vectorized mask
+        over the chunk.
         """
         if not color or not len(self.kinds):
             return
@@ -292,35 +279,7 @@ class TraceBuffer:
                 a0 = a0.copy()
             a0[mask] += color
             self.a0 = a0.tolist()
-            self.lines = None
-            self.line_ends = None
             self._vcols = None
-
-    def seal(self) -> "TraceBuffer":
-        """Pre-decode address columns; idempotent, returns ``self``."""
-        if self.lines is not None:
-            return self
-        _t0 = time.perf_counter() if obs.enabled() else None
-        a0 = np.asarray(self.a0, dtype=np.int64)
-        sizes = np.asarray(self.a2, dtype=np.int64) & BLOCK_NBYTES_MASK
-        # 64 B cache lines, matching the hardcoded shifts of the
-        # pipeline's fetch/micro-TLB paths (pages derive from lines).
-        lines = a0 >> 6
-        line_ends = (a0 + sizes - 1) >> 6
-        if isinstance(self.a0, list):
-            self.lines = lines.tolist()
-            self.line_ends = line_ends.tolist()
-        else:
-            # Zero-copy (array/memoryview-backed) columns: expose the
-            # derived columns as memoryviews too — indexing a memoryview
-            # yields native Python ints, which the consume fast path
-            # feeds into model state (repr-level bit-identity with the
-            # list-backed decode requires exact int types).
-            self.lines = memoryview(np.ascontiguousarray(lines))
-            self.line_ends = memoryview(np.ascontiguousarray(line_ends))
-        if _t0 is not None:
-            obs.observe("sim.seal_seconds", time.perf_counter() - _t0)
-        return self
 
     @classmethod
     def from_columns(cls, kinds, a0, a1, a2, events,
@@ -339,8 +298,6 @@ class TraceBuffer:
         buf.a2 = a2
         buf.events = events
         buf.n_instructions = n_instructions
-        buf.lines = None
-        buf.line_ends = None
         buf._vcols = None
         return buf
 
@@ -350,20 +307,20 @@ class TraceBufferStream:
 
     Exactly one source must be given:
 
-    ``ops``
-        A tuple iterator/generator; chunks are pulled through
-        :meth:`TraceBuffer.fill_from`.
     ``filler``
         A push callback ``filler(buf, n_instructions) -> exhausted`` —
-        the fast path for programs that implement ``fill_buffer``.
+        a workload program's ``fill_buffer``.
     ``buffers``
         An iterable of prebuilt :class:`TraceBuffer` chunks (trace
         replay).
+    ``ops``
+        An iterable of op tuples (hand-built test streams); chunks are
+        pulled through :meth:`TraceBuffer.fill_from`.
 
     The stream tracks a resume offset ``pos`` inside the current chunk,
     so interrupted consumption (instruction limits, multicore quanta)
-    continues mid-chunk.  ``transform`` is applied to each chunk before
-    sealing (per-core address coloring).
+    continues mid-chunk.  ``transform`` is applied to each new chunk
+    (per-core address coloring).
     """
 
     __slots__ = ("chunk_instructions", "transform", "buf", "pos",
@@ -383,7 +340,7 @@ class TraceBufferStream:
         self._exhausted = False
 
     def buffer(self) -> TraceBuffer | None:
-        """The current sealed chunk with unconsumed ops, or ``None``."""
+        """The current chunk with unconsumed ops, or ``None``."""
         buf = self.buf
         if buf is not None and self.pos < len(buf.kinds):
             return buf
@@ -405,21 +362,7 @@ class TraceBufferStream:
                         self._ops, self.chunk_instructions)
             if self.transform is not None:
                 self.transform(buf)
-            self.buf = buf.seal()
+            self.buf = buf
             self.pos = 0
             if buf.kinds:
                 return buf
-
-    def iter_ops(self):
-        """Remaining ops as tuples (feeds the legacy consume path)."""
-        while True:
-            buf = self.buffer()
-            if buf is None:
-                return
-            pos = self.pos
-            self.pos = len(buf.kinds)
-            ops = buf.iter_ops()
-            if pos:
-                for _ in range(pos):
-                    next(ops)
-            yield from ops

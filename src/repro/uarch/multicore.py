@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.kernel.vm import VirtualMemory
-from repro.trace import TraceBufferStream
 from repro.uarch.cache import Cache
 from repro.uarch.machine import MachineConfig
 from repro.uarch.pipeline import Core
@@ -132,15 +131,14 @@ class MulticoreRunner:
     Each core gets its own :class:`VirtualMemory` (separate process images
     would share kernel text; for simplicity each core's stream includes
     its own kernel activity) and its own stream factory — a callable
-    ``(core_id) -> (source, WorkloadHints)`` where ``source`` is either
-    an op-tuple iterable (legacy consume) or a
-    :class:`~repro.trace.TraceBufferStream` (batched consume); both keep
-    a resume position, so quantum-interleaved execution is identical.
+    ``(core_id) -> (stream, WorkloadHints)`` returning a
+    :class:`~repro.trace.TraceBufferStream`, whose resume position makes
+    quantum-interleaved execution exact.
     """
 
     def __init__(self, machine: MachineConfig, n_cores: int,
                  stream_factory, epoch_instructions: int = 4000,
-                 engine: str = "batched") -> None:
+                 engine: str = "vector") -> None:
         self.machine = machine
         self.n_cores = n_cores
         self.llc = SharedLlc(machine)
@@ -151,13 +149,10 @@ class MulticoreRunner:
         for core_id in range(n_cores):
             vm = VirtualMemory()
             core = Core(machine, vm, shared_llc=self.llc, core_id=core_id)
-            source, hints = stream_factory(core_id)
+            stream, hints = stream_factory(core_id)
             core.set_hints(hints)
             self.cores.append(core)
-            if isinstance(source, TraceBufferStream):
-                self._streams.append(source)
-            else:
-                self._streams.append(iter(source))
+            self._streams.append(stream)
 
     def _open_session(self):
         """A native multicore session for ``engine="vector"``, or None.
@@ -165,14 +160,14 @@ class MulticoreRunner:
         The session (see :class:`repro.uarch.native.NativeMulticoreSession`)
         keeps per-core kernel images alive across quanta — the shared LLC
         is aliased into every image and the Python contention model runs
-        unchanged at epoch boundaries.  Any disqualifying configuration
-        (kernel unavailable, legacy streams, non-nativizable core) falls
-        back to the batched per-quantum path.
+        unchanged at epoch boundaries.  Without one (legacy engine, kernel
+        unavailable, non-nativizable core) every quantum goes through
+        ``Core.consume_stream``.
         """
         if self.engine != "vector":
             return None
         from repro.uarch import native
-        return native.multicore_session(self.cores, self._streams)
+        return native.multicore_session(self.cores)
 
     def run(self, instructions_per_core: int) -> MulticoreResult:
         """Run all cores to ``instructions_per_core``, interleaved."""
@@ -190,12 +185,10 @@ class MulticoreRunner:
                     stream = self._streams[i]
                     if session is not None:
                         done = session.consume(i, stream, quantum)
-                    elif isinstance(stream, TraceBufferStream):
+                    else:
                         done = core.consume_stream(stream,
                                                    max_instructions=quantum,
                                                    engine=self.engine)
-                    else:
-                        done = core.consume(stream, max_instructions=quantum)
                     remaining[i] -= done if done else remaining[i]
                     if done:
                         progressed = True

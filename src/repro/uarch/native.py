@@ -1,13 +1,14 @@
 """Native consume backend (``engine="vector"``): build + state marshalling.
 
-The vector engine runs the per-op simulation loop in a small C kernel
-(``_kernel.c``) compiled on first use with the system compiler and loaded
-via ctypes.  Python owns every byte of simulator state as numpy arrays:
-:class:`CoreImage` exports a :class:`~repro.uarch.pipeline.Core` into flat
-arrays, the kernel mutates them in place, and ``writeback`` reconstructs
-the exact Python object state (including dict insertion order where it is
-semantically observable) so results are bit-identical to the legacy
-engine.
+The vector engine — the default — runs the per-op simulation loop in a
+small C kernel (``_kernel.c``) compiled on first use with the system
+compiler and loaded via ctypes.  Python owns every byte of simulator
+state as numpy arrays: :class:`CoreImage` exports a
+:class:`~repro.uarch.pipeline.Core` into flat arrays, the kernel mutates
+them in place, and ``writeback`` reconstructs the exact Python object
+state (including dict insertion order where it is semantically
+observable) so results are bit-identical to the legacy engine, the
+reference interpreter.
 
 Two stateful-callback cases run natively via resume protocols rather
 than falling back:
@@ -24,8 +25,11 @@ than falling back:
 
 When the kernel is unavailable (no compiler, ``REPRO_NATIVE=0``) or the
 core uses a configuration the kernel does not model (subclassed shared
-LLC, JIT metadata reactions, non-stock geometry), callers fall back to
-the batched engine, which is itself bit-identical to legacy.
+LLC, JIT metadata reactions, non-stock geometry), the run delegates to
+the legacy interpreter: same results, 11-35x slower.  Delegation is
+never silent — it is counted in :data:`delegations` (and the
+``native.delegations{reason=...}`` metric) and warned about once per
+process; :func:`last_error` keeps the reason the kernel failed to load.
 """
 
 from __future__ import annotations
@@ -37,11 +41,13 @@ import subprocess
 import tempfile
 import threading
 import time
+import warnings
 
 import numpy as np
 
 from repro import obs
 from repro.kernel.vm import VirtualMemory
+from repro.obs.metrics import labeled
 from repro.uarch.branch import BranchUnit, Btb, GsharePredictor, LoopPredictor
 from repro.uarch.cache import Cache
 from repro.uarch.memory import DramModel
@@ -163,7 +169,14 @@ _CFLAGS = ["-O2", "-fPIC", "-shared", "-ffp-contract=off"]
 
 _lib = None
 _lib_resolved = False
+_lib_error: str | None = None
 _lib_lock = threading.Lock()
+
+#: ``engine="vector"`` consume calls that ran on the legacy interpreter,
+#: by reason: ``unavailable`` (no kernel) or ``not_nativizable`` (a core
+#: configuration the kernel does not model).
+delegations = {"unavailable": 0, "not_nativizable": 0}
+_delegation_warned = False
 
 
 def _compiler_identity(cc: str) -> bytes | None:
@@ -193,11 +206,13 @@ def _compile_lib():
     os.makedirs(cache_dir, mode=0o700, exist_ok=True)
     flags = " ".join(_CFLAGS).encode()
     so_path = None
+    failures = []
     for cc in [os.environ.get("CC"), "cc", "gcc", "clang"]:
         if not cc:
             continue
         ident = _compiler_identity(cc)
         if ident is None:
+            failures.append(f"{cc}: not found")
             continue
         # Content-addressed by everything that shapes the binary:
         # source, CFLAGS, and the compiler's identity.
@@ -211,7 +226,8 @@ def _compile_lib():
         try:
             res = subprocess.run([cc, *_CFLAGS, "-o", tmp, _SRC_PATH],
                                  capture_output=True, timeout=120)
-        except (OSError, subprocess.SubprocessError):
+        except (OSError, subprocess.SubprocessError) as exc:
+            failures.append(f"{cc}: {exc}")
             continue
         if res.returncode == 0 and os.path.exists(tmp):
             os.replace(tmp, candidate)   # atomic: racing builds converge
@@ -219,8 +235,11 @@ def _compile_lib():
             break
         if os.path.exists(tmp):
             os.unlink(tmp)
+        err = res.stderr.decode(errors="replace").strip()
+        failures.append(f"{cc}: exit {res.returncode}: {err[-400:]}")
     if so_path is None:
-        return None
+        raise RuntimeError("no C compiler built the kernel ("
+                           + "; ".join(failures) + ")")
     lib = ctypes.CDLL(so_path)
     ll = ctypes.c_longlong
     lib.repro_sim_run.restype = ll
@@ -234,26 +253,62 @@ def _compile_lib():
 
 
 def get_lib():
-    """The loaded kernel library, or ``None`` if unavailable/disabled."""
-    global _lib, _lib_resolved
+    """The loaded kernel library, or ``None`` if unavailable/disabled.
+
+    A failed build or load is kept as :func:`last_error`.
+    """
+    global _lib, _lib_resolved, _lib_error
     if _lib_resolved:
         return _lib
     with _lib_lock:
         if _lib_resolved:
             return _lib
-        lib = None
-        if os.environ.get("REPRO_NATIVE", "1") != "0":
+        lib, error = None, None
+        if os.environ.get("REPRO_NATIVE", "1") == "0":
+            error = "disabled by REPRO_NATIVE=0"
+        else:
             try:
                 lib = _compile_lib()
-            except Exception:
-                lib = None
-        _lib = lib
+            except Exception as exc:
+                error = f"{type(exc).__name__}: {exc}"
+        _lib, _lib_error = lib, error
         _lib_resolved = True
     return _lib
 
 
 def available() -> bool:
     return get_lib() is not None
+
+
+def last_error() -> str | None:
+    """Why the kernel is unavailable (``None`` while it loads fine)."""
+    get_lib()
+    return _lib_error
+
+
+def delegation_reason(core) -> str | None:
+    """``None`` when the kernel runs ``core``, else the delegation reason."""
+    if not available():
+        return "unavailable"
+    if not nativizable(core):
+        return "not_nativizable"
+    return None
+
+
+def note_delegation(reason: str) -> None:
+    """Count one delegated consume call; warn on the first per process."""
+    global _delegation_warned
+    delegations[reason] += 1
+    if obs.enabled():
+        obs.add(labeled("native.delegations", reason=reason))
+    if not _delegation_warned:
+        _delegation_warned = True
+        detail = last_error() if reason == "unavailable" else \
+            "core configuration outside the kernel's model"
+        warnings.warn(
+            f"engine 'vector' is running on the legacy interpreter "
+            f"({reason}: {detail}); results are identical but 11-35x "
+            f"slower", RuntimeWarning, stacklevel=3)
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +323,7 @@ def nativizable(core) -> bool:
     hooks (via the HOOK trampoline).  Anything else (subclassed shared
     LLC, JIT-metadata reactions, non-4K pages, non-64B lines,
     subclassed/custom structures or fetch callbacks) must take the
-    batched engine, which handles the full model.
+    legacy interpreter, which handles the full model.
     """
     from repro.uarch.pipeline import Core
     if type(core) is not Core:
@@ -700,7 +755,10 @@ class CoreImage:
             _stats["vm_hash_builds"] += 1
             if _t0 is not None:
                 obs.add("native.vm_hash_builds", 1.0)
-            cap = _next_pow2(4 * (len(vm._mapped) + 64))
+            # The kernel pauses for _grow_vm before the table passes
+            # half load, so twice the live pages (plus headroom) is
+            # the smallest table it accepts without an immediate grow.
+            cap = _next_pow2(2 * (len(vm._mapped) + 64))
             pi[PI_VM_HMASK] = cap - 1
             self.vm_hash = np.full(cap, -1, dtype=np.int64)
             if vm._mapped:
@@ -910,7 +968,7 @@ class CoreImage:
 
     # ------------------------------------------------------------------
     def run_buffer(self, buf, start: int, limit) -> tuple[int, int]:
-        """Run the kernel over one sealed trace buffer from ``start``.
+        """Run the kernel over one trace buffer from ``start``.
 
         Returns ``(next_pos, status)`` where status is ``_STATUS_DONE``
         (chunk exhausted), ``_STATUS_LIMIT`` (instruction limit reached)
@@ -966,7 +1024,7 @@ class CoreImage:
 # Column extraction (cached on the buffer).
 
 def _columns(buf):
-    """Contiguous int64 column arrays for a sealed trace buffer.
+    """Contiguous int64 column arrays for a trace buffer.
 
     Cached on ``buf._vcols`` keyed by op count, so replayed buffers pay
     the conversion once; ``color_private`` invalidates the cache.
@@ -1154,18 +1212,16 @@ class NativeMulticoreSession:
         return int(img.si[SI_INSTR]) - start_instr
 
 
-def multicore_session(cores, streams):
-    """A :class:`NativeMulticoreSession` when every core and stream
-    qualifies for it, else ``None`` (callers fall back per quantum)."""
-    from repro.trace import TraceBufferStream
+def multicore_session(cores):
+    """A :class:`NativeMulticoreSession` when every core qualifies for
+    it, else ``None`` (callers then consume per quantum through
+    ``Core.consume_stream``, which counts the delegation)."""
     if not available() or not cores:
         return None
     llc = cores[0].shared_llc
     if llc is None:
         return None
     if not all(c.shared_llc is llc for c in cores):
-        return None
-    if not all(isinstance(s, TraceBufferStream) for s in streams):
         return None
     if not all(nativizable(c) for c in cores):
         return None

@@ -11,8 +11,9 @@ Two program families:
 * :class:`NativeProgram` — SPEC-style: one static code image, no runtime
   events, data in a pre-faulted native working set.
 
-Programs yield an *infinite* op stream (:meth:`ops`); the harness bounds
-execution by instruction count at the consuming side.
+Programs push an *infinite* op stream into trace buffers
+(:meth:`fill_buffer`, chunk by chunk); the harness bounds execution by
+instruction count at the consuming side.
 """
 
 from __future__ import annotations
@@ -26,8 +27,7 @@ from repro.runtime.gc import GcConfig
 from repro.runtime.heap import HeapConfig
 from repro.runtime.jit import Method
 from repro.seeding import stable_seed
-from repro.trace import (OP_EVENT, EV_REQUEST_DONE,
-                         REGION_CODE_BASE, REGION_STACK_BASE)
+from repro.trace import EV_REQUEST_DONE, REGION_CODE_BASE, REGION_STACK_BASE
 from repro.workloads.spec import SuiteName, WorkloadSpec
 
 _LINE = 64
@@ -37,7 +37,7 @@ class DataModel:
     """Data-address generators implementing the spec's locality profile.
 
     ``load_addr``/``store_addr`` are the callables handed to
-    :meth:`repro.codegen.CodeRegion.walk`; they sample the stack, the
+    :meth:`repro.codegen.CodeRegion.walk_into`; they sample the stack, the
     streaming buffers, the native working set and (for managed programs)
     the live object set according to the spec's fractions.
     """
@@ -217,21 +217,11 @@ class NativeProgram:
         for start, length in self.premap_ranges():
             vm.premap_range(start, length)
 
-    def ops(self):
-        """Infinite op stream."""
-        rng = self.rng
-        data = self.data
-        while True:
-            yield from self.code.walk(rng, 4096,
-                                      load_addr=data.load_addr,
-                                      store_addr=data.store_addr)
-
     def fill_buffer(self, buf, n_instructions: int) -> bool:
         """Push ~``n_instructions`` of ops into ``buf`` (never exhausts).
 
-        The batched twin of :meth:`ops` — same RNG call order, so the op
-        sequence is identical; only chunk boundaries differ (pushes stop
-        at walk-segment granularity instead of mid-segment).
+        Pushes stop at walk-segment granularity, so ``n_instructions`` is
+        a lower bound; the op sequence does not depend on chunking.
         """
         rng = self.rng
         data = self.data
@@ -310,49 +300,6 @@ class ManagedProgram:
         self._acc[key] -= n
         return n
 
-    def _call_chain(self, budget: int):
-        """Execute a chain of method calls totalling ~``budget`` instrs."""
-        spec = self.spec
-        depth = max(1, spec.call_chain_depth)
-        per_method = max(60, budget // depth)
-        rng = self.rng
-        data = self.data
-        for _ in range(depth):
-            method = self._pick_method()
-            yield from self.clr.enter_method(method)
-            yield from method.region.walk(
-                rng, per_method,
-                load_addr=data.load_addr, store_addr=data.store_addr)
-
-    def _work_item(self):
-        spec = self.spec
-        wi = spec.work_item_instructions
-        n_alloc = self._take("alloc", spec.allocs_per_kinstr * wi / 1000)
-        if n_alloc:
-            yield from self.clr.allocate_batch(n_alloc,
-                                               spec.alloc_size_mean)
-        n_sys = self._take("sys", spec.syscalls_per_kinstr * wi / 1000)
-        for _ in range(n_sys):
-            yield from self._emit_syscall()
-        yield from self._call_chain(wi)
-        if self._take("exc", spec.exceptions_per_minstr * wi / 1e6):
-            yield from self.clr.throw_exception()
-        if self._take("con", spec.contentions_per_minstr * wi / 1e6):
-            yield from self.clr.contend_lock()
-
-    def _emit_syscall(self):
-        spec = self.spec
-        if not spec.syscall_mix:
-            return
-        r = self.rng.random() * sum(w for _, w in spec.syscall_mix)
-        for kind, weight in spec.syscall_mix:
-            r -= weight
-            if r <= 0:
-                break
-        yield from self.syscalls.emit(kind, self.rng,
-                                      payload_bytes=spec.syscall_payload_bytes,
-                                      user_buffer=REGION_STACK_BASE + 0x8000)
-
     def premap_ranges(self) -> list[tuple[int, int]]:
         """Static data ranges faulted in before execution (see
         :meth:`NativeProgram.premap_ranges`)."""
@@ -365,13 +312,8 @@ class ManagedProgram:
         for start, length in self.premap_ranges():
             vm.premap_range(start, length)
 
-    def ops(self):
-        """Infinite op stream of work items."""
-        while True:
-            yield from self._work_item()
-
-    # -- push twins (batched emission) ----------------------------------
     def _call_chain_into(self, buf, budget: int) -> None:
+        """Execute a chain of method calls totalling ~``budget`` instrs."""
         spec = self.spec
         depth = max(1, spec.call_chain_depth)
         per_method = max(60, budget // depth)
@@ -396,9 +338,9 @@ class ManagedProgram:
             self._emit_syscall_into(buf)
         self._call_chain_into(buf, wi)
         if self._take("exc", spec.exceptions_per_minstr * wi / 1e6):
-            buf.extend(self.clr.throw_exception())
+            self.clr.throw_exception_into(buf)
         if self._take("con", spec.contentions_per_minstr * wi / 1e6):
-            buf.extend(self.clr.contend_lock())
+            self.clr.contend_lock_into(buf)
 
     def _emit_syscall_into(self, buf) -> None:
         spec = self.spec
@@ -416,8 +358,8 @@ class ManagedProgram:
     def fill_buffer(self, buf, n_instructions: int) -> bool:
         """Push ~``n_instructions`` of work items into ``buf``.
 
-        Same RNG call order as :meth:`ops`; chunk boundaries land on
-        work-item boundaries instead of mid-item.  Never exhausts.
+        Chunk boundaries land on work-item boundaries, so
+        ``n_instructions`` is a lower bound.  Never exhausts.
         """
         target = buf.n_instructions + n_instructions
         while buf.n_instructions < target:
@@ -436,76 +378,14 @@ class AspNetProgram(ManagedProgram):
 
     CHUNK = 64 * 1024
 
-    def _work_item(self):
-        spec = self.spec
-        rng = self.rng
-        sysm = self.syscalls
-        ubuf = REGION_STACK_BASE + 0x8000
-        yield from sysm.emit(SyscallKind.EPOLL_WAIT, rng)
-        # Large uploads arrive in chunks interleaved with parsing.
-        remaining = max(spec.request_bytes, 1)
-        recv_chunks = max(1, (remaining + self.CHUNK - 1) // self.CHUNK)
-        n_alloc = self._take("alloc", spec.allocs_per_kinstr
-                             * spec.work_item_instructions / 1000)
-        parse_budget = int(spec.work_item_instructions
-                           * (0.5 if recv_chunks > 1 else 0.0))
-        for _ in range(recv_chunks):
-            chunk = min(self.CHUNK, remaining)
-            yield from sysm.emit(SyscallKind.RECV, rng, payload_bytes=chunk,
-                                 user_buffer=ubuf)
-            remaining -= chunk
-            if recv_chunks > 1:
-                yield from self._call_chain(parse_budget // recv_chunks)
-        # App logic: managed method calls + allocation.
-        if n_alloc:
-            yield from self.clr.allocate_batch(n_alloc, spec.alloc_size_mean)
-        send_chunks = max(1, (spec.response_bytes + self.CHUNK - 1)
-                          // self.CHUNK)
-        app_budget = spec.work_item_instructions - parse_budget
-        serialize_budget = (int(app_budget * 0.55) if send_chunks > 1 else 0)
-        # Big responses serialize through a Large-Object-Heap buffer,
-        # recycled across requests via the LOH free list (like real
-        # ASP.NET's ArrayPool/PipeWriter buffers).
-        loh_buffer = None
-        if send_chunks > 1:
-            loh_size = min(spec.response_bytes, self.CHUNK)
-            yield from self.clr.alloc_large(loh_size)
-            loh_buffer = (self.clr._last_loh[0], loh_size)
-        yield from self._call_chain(app_budget - serialize_budget)
-        for _ in range(spec.db_queries_per_request):
-            yield from sysm.emit(SyscallKind.SEND, rng, payload_bytes=256,
-                                 user_buffer=ubuf)
-            yield from sysm.emit(SyscallKind.RECV, rng,
-                                 payload_bytes=spec.db_response_bytes,
-                                 user_buffer=ubuf)
-        # Responses stream out chunk by chunk, serialization interleaved;
-        # large responses send from the LOH buffer.
-        remaining = spec.response_bytes
-        send_buf = loh_buffer[0] if loh_buffer else ubuf
-        while remaining > 0:
-            chunk = min(self.CHUNK, remaining)
-            if send_chunks > 1:
-                yield from self._call_chain(serialize_budget // send_chunks)
-            yield from sysm.emit(SyscallKind.SEND, rng, payload_bytes=chunk,
-                                 user_buffer=send_buf)
-            remaining -= chunk
-        if loh_buffer is not None:
-            self.clr.free_large(*loh_buffer)
-        if self._take("exc", spec.exceptions_per_minstr
-                      * spec.work_item_instructions / 1e6):
-            yield from self.clr.throw_exception()
-        if self._take("con", spec.contentions_per_minstr
-                      * spec.work_item_instructions / 1e6):
-            yield from self.clr.contend_lock()
-        yield (OP_EVENT, EV_REQUEST_DONE, None)
-
     def _work_item_into(self, buf) -> None:
-        """Push twin of :meth:`_work_item` — same ops, same RNG order."""
+        """Push one request's ops into ``buf``."""
         spec = self.spec
         rng = self.rng
         sysm = self.syscalls
         ubuf = REGION_STACK_BASE + 0x8000
         sysm.emit_into(buf, SyscallKind.EPOLL_WAIT, rng)
+        # Large uploads arrive in chunks interleaved with parsing.
         remaining = max(spec.request_bytes, 1)
         recv_chunks = max(1, (remaining + self.CHUNK - 1) // self.CHUNK)
         n_alloc = self._take("alloc", spec.allocs_per_kinstr
@@ -519,17 +399,20 @@ class AspNetProgram(ManagedProgram):
             remaining -= chunk
             if recv_chunks > 1:
                 self._call_chain_into(buf, parse_budget // recv_chunks)
+        # App logic: managed method calls + allocation.
         if n_alloc:
             self.clr.allocate_batch_into(buf, n_alloc, spec.alloc_size_mean)
         send_chunks = max(1, (spec.response_bytes + self.CHUNK - 1)
                           // self.CHUNK)
         app_budget = spec.work_item_instructions - parse_budget
         serialize_budget = (int(app_budget * 0.55) if send_chunks > 1 else 0)
+        # Big responses serialize through a Large-Object-Heap buffer,
+        # recycled across requests via the LOH free list (like real
+        # ASP.NET's ArrayPool/PipeWriter buffers).
         loh_buffer = None
         if send_chunks > 1:
             loh_size = min(spec.response_bytes, self.CHUNK)
-            buf.extend(self.clr.alloc_large(loh_size))
-            loh_buffer = (self.clr._last_loh[0], loh_size)
+            loh_buffer = (self.clr.alloc_large_into(buf, loh_size), loh_size)
         self._call_chain_into(buf, app_budget - serialize_budget)
         for _ in range(spec.db_queries_per_request):
             sysm.emit_into(buf, SyscallKind.SEND, rng, payload_bytes=256,
@@ -537,6 +420,8 @@ class AspNetProgram(ManagedProgram):
             sysm.emit_into(buf, SyscallKind.RECV, rng,
                            payload_bytes=spec.db_response_bytes,
                            user_buffer=ubuf)
+        # Responses stream out chunk by chunk, serialization interleaved;
+        # large responses send from the LOH buffer.
         remaining = spec.response_bytes
         send_buf = loh_buffer[0] if loh_buffer else ubuf
         while remaining > 0:
@@ -550,10 +435,10 @@ class AspNetProgram(ManagedProgram):
             self.clr.free_large(*loh_buffer)
         if self._take("exc", spec.exceptions_per_minstr
                       * spec.work_item_instructions / 1e6):
-            buf.extend(self.clr.throw_exception())
+            self.clr.throw_exception_into(buf)
         if self._take("con", spec.contentions_per_minstr
                       * spec.work_item_instructions / 1e6):
-            buf.extend(self.clr.contend_lock())
+            self.clr.contend_lock_into(buf)
         buf.event(EV_REQUEST_DONE, None)
 
 

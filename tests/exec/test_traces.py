@@ -22,28 +22,27 @@ def _configs():
                           gen0_budget_bytes=gc.gen0_budget())
 
 
+def fake_ops():
+    """Deterministic synthetic op stream (10-instr block + load pairs)."""
+    pc = 0x4000_0000
+    while True:
+        yield (OP_BLOCK, pc, 10, 48, False)
+        yield (OP_LOAD, 0xC000_0000 + (pc & 0xFFFF))
+        pc += 64
+
+
 class FakeProgram:
-    """Deterministic synthetic op source (10-instr block + load pairs)."""
-
-    def ops(self):
-        pc = 0x4000_0000
-        while True:
-            yield (OP_BLOCK, pc, 10, 48, False)
-            yield (OP_LOAD, 0xC000_0000 + (pc & 0xFFFF))
-            pc += 64
-
-    def premap_ranges(self):
-        return [(0x4000_0000, 0x4010_0000), (0xC000_0000, 0xC001_0000)]
-
-
-class FakeProgramPush(FakeProgram):
-    """Same stream through the push-style ``fill_buffer`` protocol."""
+    """:func:`fake_ops` through the push-style ``fill_buffer`` protocol
+    the trace store generates from."""
 
     def __init__(self):
-        self._ops = self.ops()
+        self._ops = fake_ops()
 
     def fill_buffer(self, buf, n_instructions):
         return buf.fill_from(self._ops, n_instructions)
+
+    def premap_ranges(self):
+        return [(0x4000_0000, 0x4010_0000), (0xC000_0000, 0xC001_0000)]
 
 
 def _key(store, **over):
@@ -102,10 +101,12 @@ class TestEnsure:
         assert meta["n_instructions"] >= short * 4
 
     def test_push_and_pull_programs_record_same_stream(self, tmp_path):
+        """The pushed, recorded and replayed stream equals the op
+        sequence pulled straight from the source, for any key."""
         store = TraceStore(tmp_path)
         ka, kb = _key(store), _key(store, seed=1)
         store.ensure(ka, 5_000, FakeProgram)
-        store.ensure(kb, 5_000, FakeProgramPush)
+        store.ensure(kb, 5_000, FakeProgram)
 
         def ops_of(key, n):
             ops = itertools.chain.from_iterable(
@@ -113,7 +114,7 @@ class TestEnsure:
             return list(itertools.islice(ops, n))
 
         assert ops_of(ka, 500) == ops_of(kb, 500) \
-            == list(itertools.islice(FakeProgram().ops(), 500))
+            == list(itertools.islice(fake_ops(), 500))
 
     def test_corrupt_meta_reads_as_miss(self, tmp_path):
         store = TraceStore(tmp_path)

@@ -11,6 +11,7 @@ from repro.exec.pool import run_jobs
 from repro.exec.warm import WarmCache, file_identity
 from repro.harness.runner import Fidelity
 from repro.perf.trace_io import record, replay_buffers
+from repro.trace import TraceBuffer
 from repro.uarch.machine import get_machine
 from repro.workloads.dotnet import dotnet_category_specs
 from repro.workloads.program import build_program
@@ -23,7 +24,10 @@ def record_workload_trace(tmp_path, n_ops=4000):
                 if s.name == "System.Runtime")
     prog = build_program(spec, seed=4)
     path = tmp_path / "w.trace"
-    record(iter(itertools.islice(prog.ops(), n_ops)), path)
+    buf = TraceBuffer()
+    while len(buf) < n_ops:
+        prog.fill_buffer(buf, 4096)
+    record(itertools.islice(buf.iter_ops(), n_ops), path)
     return path
 
 
@@ -46,7 +50,7 @@ class TestOwnedCopy:
                     list(buf.a1), list(buf.a2)) == (kinds, a0, a1, a2)
 
     def test_list_backed_buffers_pass_through(self):
-        from repro.trace import OP_LOAD, TraceBuffer
+        from repro.trace import OP_LOAD
         buf = TraceBuffer()
         buf.fill_from(iter([(OP_LOAD, 0x1000)]), 10)
         assert warm._owned_copy(buf) is buf

@@ -1,9 +1,11 @@
-"""Differential tests: the batched engine is bit-identical to legacy.
+"""Differential tests: the vector engine is bit-identical to legacy.
 
-The batched trace engine (SoA chunks + ``Core.consume_stream``) is only
-allowed to be *faster* than the tuple-at-a-time interpreter — never
-different.  These tests drive both engines over every suite (micro,
-ASP.NET, SPEC) plus the ablation flags, and require exact equality of
+The native C kernel (``engine="vector"``, the default) is only allowed
+to be *faster* than the op-at-a-time reference interpreter
+(``engine="legacy"``) — never different.  These tests drive both
+engines over the same push-generated trace buffers for every suite
+(micro, ASP.NET, SPEC) plus the ablation flags, and require exact
+equality of
 
 * every counter and stall bucket (floats compared bitwise via ``==``),
 * the complete microarchitectural state (cache/TLB set contents and
@@ -11,8 +13,10 @@ ASP.NET, SPEC) plus the ablation flags, and require exact equality of
 * the tracer event stream (kind, payload, cycle stamps), and
 * the Top-Down profile and sampler output at the run level.
 
-Chunk boundaries are semantics-free: the batched runs here use a chunk
-size (4096) much smaller than production (65536) on the same streams.
+Chunk boundaries are semantics-free: the vector runs here use a chunk
+size (4096) much smaller than the legacy runs' production size (65536)
+on the same streams.  The streams themselves are pinned by
+tests/workloads/test_generation_digests.py.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from repro.kernel.vm import VirtualMemory
 from repro.runtime.gc import GcConfig
 from repro.runtime.heap import HeapConfig
 from repro.trace import TraceBufferStream
+from repro.uarch import native
 from repro.uarch.machine import get_machine
 from repro.uarch.pipeline import Core
 from repro.workloads.aspnet import aspnet_specs
@@ -32,6 +37,11 @@ from repro.workloads.speccpu import speccpu_specs
 
 WARMUP = 15_000
 MEASURE = 25_000
+
+# Without the kernel, engine="vector" runs the legacy interpreter and a
+# vector-vs-legacy comparison would pass vacuously: skip it instead.
+needs_native = pytest.mark.skipif(not native.available(),
+                                  reason="native kernel unavailable")
 
 
 def _spec_of(name):
@@ -111,7 +121,8 @@ CASES = [
 ]
 
 
-@pytest.mark.parametrize("engine", ["batched", "vector"])
+@needs_native
+@pytest.mark.parametrize("engine", ["vector"])
 @pytest.mark.parametrize("name,kw", CASES,
                          ids=[c[0] + ("+" + next(iter(c[1]), "") if c[1]
                                       else "") for c in CASES])
@@ -121,19 +132,23 @@ def test_core_state_identical(name, kw, engine):
     spec = _spec_of(name)
 
     core_a, prog_a, ev_a = _build(spec, machine, **kw)
-    ops = prog_a.ops()
-    core_a.consume(ops, max_instructions=WARMUP)
+    stream = TraceBufferStream(filler=prog_a.fill_buffer)
+    core_a.consume_stream(stream, max_instructions=WARMUP, engine="legacy")
     core_a.reset_stats()
     ev_a.clear()
-    na = core_a.consume(ops, max_instructions=MEASURE)
+    na = core_a.consume_stream(stream, max_instructions=MEASURE,
+                               engine="legacy")
 
     core_b, prog_b, ev_b = _build(spec, machine, **kw)
-    stream = TraceBufferStream(ops=prog_b.ops(), chunk_instructions=4096)
+    stream = TraceBufferStream(filler=prog_b.fill_buffer,
+                               chunk_instructions=4096)
+    calls = native.stats["kernel_calls"]
     core_b.consume_stream(stream, max_instructions=WARMUP, engine=engine)
     core_b.reset_stats()
     ev_b.clear()
     nb = core_b.consume_stream(stream, max_instructions=MEASURE,
                                engine=engine)
+    assert native.stats["kernel_calls"] > calls     # no delegation
 
     assert na == nb
     sa, sb = _state(core_a), _state(core_b)
@@ -142,7 +157,8 @@ def test_core_state_identical(name, kw, engine):
     assert ev_a == ev_b
 
 
-@pytest.mark.parametrize("engine", ["batched", "vector"])
+@needs_native
+@pytest.mark.parametrize("engine", ["vector"])
 def test_run_workload_engines_agree(engine):
     """run_workload(engine=...) parity including the sampler hook path."""
     from repro.harness.runner import Fidelity, run_workload
@@ -160,26 +176,35 @@ def test_run_workload_engines_agree(engine):
 
 
 def test_env_toggle_selects_legacy(monkeypatch):
-    """REPRO_LEGACY_CONSUME=1 keeps the old path selectable and equal."""
-    from repro.harness.runner import Fidelity, run_workload
+    """REPRO_ENGINE=legacy selects the reference interpreter — which
+    never enters the kernel — and stays equal to the default."""
+    from repro.harness.runner import Fidelity, resolve_engine, run_workload
     machine = get_machine("i9")
     fid = Fidelity.test()
     spec = _spec_of("System.Runtime")
     default = run_workload(spec, machine, fid)
-    monkeypatch.setenv("REPRO_LEGACY_CONSUME", "1")
+    monkeypatch.setenv("REPRO_ENGINE", "legacy")
+    assert resolve_engine(None) == "legacy"
+    calls = native.stats["consume_calls"]
     legacy = run_workload(spec, machine, fid)
+    assert native.stats["consume_calls"] == calls
     assert default.counters == legacy.counters
     assert default.topdown == legacy.topdown
 
 
 def test_env_toggle_selects_vector(monkeypatch):
-    """REPRO_ENGINE=vector routes the default path through the native
-    kernel (or its fallback) and stays bit-identical; an explicit
-    ``engine=`` argument still wins over the environment."""
-    from repro.harness.runner import Fidelity, resolve_engine, run_workload
+    """The native kernel is the default engine in a clean environment;
+    REPRO_ENGINE=vector selects it explicitly and stays bit-identical;
+    an explicit ``engine=`` argument still wins over the environment,
+    and retired engine names are rejected."""
+    from repro.harness.runner import (ENGINES, Fidelity, resolve_engine,
+                                      run_workload)
     machine = get_machine("i9")
     fid = Fidelity.test()
     spec = _spec_of("Json")
+    monkeypatch.delenv("REPRO_ENGINE", raising=False)
+    assert ENGINES == ("legacy", "vector")
+    assert resolve_engine(None) == "vector"
     default = run_workload(spec, machine, fid)
     monkeypatch.setenv("REPRO_ENGINE", "vector")
     assert resolve_engine(None) == "vector"
@@ -187,6 +212,14 @@ def test_env_toggle_selects_vector(monkeypatch):
     vector = run_workload(spec, machine, fid)
     assert default.counters == vector.counters
     assert default.topdown == vector.topdown
+    with pytest.raises(ValueError, match="unknown engine"):
+        resolve_engine("batched")
+    with pytest.raises(ValueError, match="unknown engine"):
+        run_workload(spec, machine, fid, engine="batched")
+    core = Core(machine, VirtualMemory())
+    with pytest.raises(ValueError, match="unknown engine"):
+        core.consume_stream(TraceBufferStream(ops=iter(())),
+                            engine="batched")
     monkeypatch.setenv("REPRO_ENGINE", "warp")
     with pytest.raises(ValueError, match="unknown engine"):
         run_workload(spec, machine, fid)
@@ -194,7 +227,7 @@ def test_env_toggle_selects_vector(monkeypatch):
 
 def test_trace_store_replay_identical(tmp_path):
     """Cold record, warm replay, and legacy all agree; replay skips
-    generation on the second run."""
+    generation on the second run, and legacy reads the store too."""
     from repro.exec.traces import TraceStore
     from repro.harness.runner import Fidelity, run_workload
     machine = get_machine("i9")
@@ -207,10 +240,11 @@ def test_trace_store_replay_identical(tmp_path):
     warm = run_workload(spec, machine, fid, trace_store=store)
     assert cold.counters == legacy.counters == warm.counters
     assert cold.topdown == legacy.topdown == warm.topdown
-    vec = run_workload(spec, machine, fid, trace_store=store,
-                       engine="vector")
-    assert vec.counters == legacy.counters
-    assert vec.topdown == legacy.topdown
+    replayed = run_workload(spec, machine, fid, trace_store=store,
+                            engine="legacy")
+    assert len(list(store.keys())) == 1
+    assert replayed.counters == legacy.counters
+    assert replayed.topdown == legacy.topdown
 
 
 @pytest.mark.parametrize("name,kw", CASES,
@@ -222,13 +256,14 @@ def test_mmap_replay_state_identical(tmp_path, name, kw):
     Records each suite's op stream once, then replays it through both
     read paths into fresh cores and diffs every piece of observable
     state — the zero-copy/madvise plumbing must be invisible."""
-    from repro.perf.trace_io import record, replay_buffers
+    from repro.perf.trace_io import (program_buffers, record_buffers,
+                                     replay_buffers)
 
     machine = get_machine("i9")
     spec = _spec_of(name)
     core_r, prog_r, _ = _build(spec, machine, **kw)
     path = tmp_path / "t.trace"
-    record(prog_r.ops(), path, max_instructions=WARMUP + MEASURE + 4096)
+    record_buffers(program_buffers(prog_r, WARMUP + MEASURE + 4096), path)
 
     consumed, states, event_logs = [], [], []
     for use_mmap in (False, True):
@@ -302,13 +337,11 @@ def test_warm_model_reuse_identical(tmp_path, monkeypatch):
     assert cold.topdown == first.topdown == second.topdown
 
 
-@pytest.mark.parametrize("engine", ["batched", "vector"])
+@needs_native
+@pytest.mark.parametrize("engine", ["vector"])
 def test_multicore_engines_agree(engine):
-    """Vectorized buffer-level coloring == per-tuple _color_ops.
-
-    ``vector`` is accepted here too: shared-LLC cores make the native
-    kernel's dispatch delegate to batched, so the run must still agree.
-    """
+    """The native multicore round loop (shared LLC, per-core address
+    coloring) == the legacy interpreter's, quantum for quantum."""
     from repro.harness.runner import Fidelity, run_multicore
     machine = get_machine("i9")
     fid = Fidelity(warmup_instructions=8_000, measure_instructions=15_000)

@@ -1,11 +1,11 @@
-"""Native multicore equivalence matrix: 1/2/4/8 cores × sampler on/off.
+"""Native multicore equivalence matrix: 1-16 cores × sampler on/off.
 
 The vector engine runs the whole interleaved multicore round loop in the
 C kernel — persistent per-core images, one shared-LLC image aliased into
 all of them, epoch counters drained to Python's M/M/1 contention model
 at every round boundary, and the sampler's cycle hook served through the
 HOOK trampoline.  Every cell of the matrix must be bit-identical to the
-batched engine: counters, Top-Down profile, stall books, shared-LLC
+legacy interpreter: counters, Top-Down profile, stall books, shared-LLC
 stats *and* eviction RNG state, per-core cycle trajectories, and the
 sampled timeline.
 
@@ -54,28 +54,40 @@ def _fingerprint(res, td, cnt):
     return d
 
 
-@needs_native
-@pytest.mark.parametrize("sampler", [False, True],
-                         ids=["plain", "sampler"])
-@pytest.mark.parametrize("n_cores", [1, 2, 4, 8])
-def test_multicore_matrix_bit_identical(n_cores, sampler):
+def _assert_engines_agree(name, n_cores, sampler=False):
     machine = get_machine("i9")
     kw = {}
     if sampler:
         kw = {"sampling": True, "sample_interval": 1e-6}
-    a = _fingerprint(*run_multicore(_spec(), machine, n_cores, _FID,
-                                    engine="batched", **kw))
+    a = _fingerprint(*run_multicore(_spec(name), machine, n_cores, _FID,
+                                    engine="legacy", **kw))
     before = dict(native.stats)
-    b = _fingerprint(*run_multicore(_spec(), machine, n_cores, _FID,
+    b = _fingerprint(*run_multicore(_spec(name), machine, n_cores, _FID,
                                     engine="vector", **kw))
     delta = {k: native.stats[k] - before[k] for k in before}
     diffs = {k: (a[k], b[k]) for k in a if a[k] != b[k]}
     assert not diffs, f"diverged: {dict(list(diffs.items())[:4])}"
-    # No silent batched delegation: both round loops ran in the kernel.
+    # No delegation to the interpreter: both round loops ran in the
+    # kernel.
     assert delta["sessions"] == 2
     assert delta["kernel_calls"] > 0
     if sampler:
         assert delta["hook_exits"] > 0
+
+
+@needs_native
+@pytest.mark.parametrize("sampler", [False, True],
+                         ids=["plain", "sampler"])
+@pytest.mark.parametrize("n_cores", [1, 2, 4, 8, 16])
+def test_multicore_matrix_bit_identical(n_cores, sampler):
+    _assert_engines_agree("Json", n_cores, sampler)
+
+
+@needs_native
+@pytest.mark.parametrize("name", ["Plaintext", "DbFortunesRaw"])
+def test_fig11_benchmarks_bit_identical_at_16_cores(name):
+    """The other Fig 11/12 benchmarks at the most contended point."""
+    _assert_engines_agree(name, 16)
 
 
 @needs_native

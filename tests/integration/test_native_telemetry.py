@@ -6,13 +6,15 @@ the telemetry is *exact*, not approximate:
 
 * per-kind retirement totals equal an independent tally of the op list
   AND the Python-side ``Core.counts`` the kernel maintains separately,
-* the equivalence matrix holds across suites, batched vs vector, the
+* the equivalence matrix holds across suites, legacy vs vector, the
   sampler trampoline, and the multicore session,
 * ``native.ops_retired()`` reads live kernel-owned slots mid-run and
   never double-counts across writeback (drain is idempotent),
 * with obs enabled, the counters and export/run/writeback phase
   timings land in the metrics registry, matching ``native.stats``
-  deltas bit-for-bit.
+  deltas bit-for-bit,
+* a kernel that fails to build never degrades a default run silently:
+  the error is kept, delegations are counted and a warning fires once.
 """
 
 from __future__ import annotations
@@ -73,13 +75,14 @@ def test_per_kind_counters_exact_on_synthetic_stream():
 @pytest.mark.parametrize("name", ["System.Runtime", "Json", "mcf"])
 def test_suite_counters_match_core_stats(name):
     """All three suite families: native per-kind counters equal the
-    Python-side Core stats from both the vector and batched engines."""
+    Python-side Core stats from both the vector and legacy engines."""
     machine = get_machine("i9")
     limit = 20_000
 
     core_v, prog_v, ev_v = _build(_spec_of(name), machine)
     before = dict(native.stats)
-    stream = TraceBufferStream(ops=prog_v.ops(), chunk_instructions=4096)
+    stream = TraceBufferStream(filler=prog_v.fill_buffer,
+                               chunk_instructions=4096)
     nv = core_v.consume_stream(stream, max_instructions=limit,
                                engine="vector")
     delta = _delta(before)
@@ -91,11 +94,11 @@ def test_suite_counters_match_core_stats(name):
     assert delta["ops_retired"] == sum(_ops_delta(delta).values())
     assert delta["ops_block"] > 0
 
-    # Batched engine over the same spec/limit is the reference.
+    # The legacy engine over the same spec/limit is the reference.
     core_b, prog_b, ev_b = _build(_spec_of(name), machine)
-    stream_b = TraceBufferStream(ops=prog_b.ops(), chunk_instructions=4096)
+    stream_b = TraceBufferStream(filler=prog_b.fill_buffer)
     nb = core_b.consume_stream(stream_b, max_instructions=limit,
-                               engine="batched")
+                               engine="legacy")
     assert nv == nb
     assert delta["ops_branch"] == core_b.counts.branches
     assert delta["ops_load"] == core_b.counts.loads
@@ -118,7 +121,7 @@ def test_sampler_trampoline_keeps_counters_exact():
     assert delta["hook_exits"] > 0
     assert delta["ops_retired"] == sum(_ops_delta(delta).values())
     b = run_workload(_spec_of("System.Runtime"), machine, fid,
-                     engine="batched", sampling=True, sample_interval=1e-6)
+                     engine="legacy", sampling=True, sample_interval=1e-6)
     assert a.counters == b.counters
 
 
@@ -138,7 +141,7 @@ def test_multicore_session_counters_consistent():
     assert delta["ops_retired"] == sum(_ops_delta(delta).values())
     assert delta["ops_load"] > 0 and delta["ops_branch"] > 0
     b = run_multicore(_spec_of("Plaintext"), machine, 2, fid,
-                      engine="batched")
+                      engine="legacy")
     assert a[1] == b[1]            # Top-Down profiles
     assert a[2] == b[2]            # core-0 counters
 
@@ -206,9 +209,78 @@ def test_vm_hash_build_counter(tmp_path):
     after a run makes the next export reuse it (not counted)."""
     core, prog, _ = _build(_spec_of("System.Runtime"), get_machine("i9"))
     before = dict(native.stats)
-    stream = TraceBufferStream(ops=prog.ops(), chunk_instructions=4096)
+    stream = TraceBufferStream(filler=prog.fill_buffer,
+                               chunk_instructions=4096)
     core.consume_stream(stream, max_instructions=5_000, engine="vector")
     assert native.stats["vm_hash_builds"] - before["vm_hash_builds"] == 1
     before = dict(native.stats)
     core.consume_stream(stream, max_instructions=5_000, engine="vector")
     assert native.stats["vm_hash_builds"] == before["vm_hash_builds"]
+
+
+def test_compile_failure_delegates_loudly(monkeypatch, tmp_path):
+    """A kernel that fails to build makes default runs delegate to the
+    legacy interpreter: the build error is kept, every delegation is
+    counted by reason (registry metric included), one warning fires per
+    process, and the results stay bit-identical."""
+    import warnings
+
+    from repro.harness.runner import Fidelity, run_workload
+
+    machine = get_machine("i9")
+    fid = Fidelity.test()
+    spec = _spec_of("System.Runtime")
+    monkeypatch.delenv("REPRO_ENGINE", raising=False)
+    monkeypatch.delenv("REPRO_NATIVE", raising=False)
+    reference = run_workload(spec, machine, fid, engine="legacy")
+
+    def broken_build():
+        raise RuntimeError("no C compiler built the kernel (cc: exit 1)")
+
+    monkeypatch.setattr(native, "_compile_lib", broken_build)
+    monkeypatch.setattr(native, "_lib", None)
+    monkeypatch.setattr(native, "_lib_resolved", False)
+    monkeypatch.setattr(native, "_lib_error", None)
+    monkeypatch.setattr(native, "_delegation_warned", False)
+    before = dict(native.delegations)
+    obs.configure(tmp_path / "obs", spans=False)
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            runs = [run_workload(spec, machine, fid) for _ in range(2)]
+        snap = obs.metrics_snapshot()
+    finally:
+        obs.shutdown(dump=False)
+
+    assert not native.available()
+    assert "no C compiler built the kernel" in native.last_error()
+    delegated = native.delegations["unavailable"] - before["unavailable"]
+    assert delegated == 4                      # warmup + measure, twice
+    assert native.delegations["not_nativizable"] == \
+        before["not_nativizable"]
+    assert snap["counters"][
+        'native.delegations{reason="unavailable"}'] == delegated
+    ours = [w for w in caught if issubclass(w.category, RuntimeWarning)
+            and "legacy interpreter" in str(w.message)]
+    assert len(ours) == 1
+    assert "no C compiler built the kernel" in str(ours[0].message)
+    for run in runs:
+        assert run.counters == reference.counters
+        assert run.topdown == reference.topdown
+
+
+def test_unmodelled_core_delegation_is_counted():
+    """A core the kernel does not model (JIT-metadata hardware) runs on
+    the interpreter under ``engine="vector"``, counted as
+    ``not_nativizable``."""
+    from dataclasses import replace
+
+    machine = replace(get_machine("i9"), jit_code_prefetch=True)
+    core = Core(machine, VirtualMemory())
+    assert native.delegation_reason(core) == (
+        "not_nativizable" if native.available() else "unavailable")
+    reason = native.delegation_reason(core)
+    before = native.delegations[reason]
+    stream = TraceBufferStream(ops=iter(_ops(300, seed=41)))
+    core.consume_stream(stream, engine="vector")
+    assert native.delegations[reason] == before + 1

@@ -142,7 +142,7 @@ class TestGcCacheBenefit:
         gc = GcConfig(flavor=SERVER, max_heap_bytes=2_000 * MB)
         from repro.workloads.program import build_program
         from repro.runtime.heap import HeapConfig
-        import itertools
+        from repro.trace import TraceBuffer
 
         def final_frag(compaction):
             prog = build_program(
@@ -150,8 +150,9 @@ class TestGcCacheBenefit:
                 heap_config=HeapConfig(max_heap_bytes=gc.max_heap_bytes,
                                        gen0_budget_bytes=gc.gen0_budget()),
                 gc_config=gc, compaction_enabled=compaction)
-            for _ in itertools.islice(prog.ops(), 150_000):
-                pass
+            buf = TraceBuffer()
+            while len(buf) < 150_000:
+                prog.fill_buffer(buf, 4096)
             return prog.clr.live_set.fragmentation
 
         assert final_frag(False) > final_frag(True)

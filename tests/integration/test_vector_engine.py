@@ -12,9 +12,10 @@ seams that real streams rarely stress deterministically:
 * virtual-memory hash growth mid-run (first-touch floods),
 * non-default replacement policies (FIFO, RANDOM's deterministic LCG).
 
-Every test drives the same op list through the legacy interpreter and
-``consume_stream(engine="vector")`` and diffs the complete core state
-via the equivalence harness's ``_state``.
+Every test drives the same op list through the legacy interpreter
+(whole list in one chunk) and ``consume_stream(engine="vector")``
+(chunked) and diffs the complete core state via the equivalence
+harness's ``_state``.
 """
 
 from __future__ import annotations
@@ -83,18 +84,16 @@ def _run_pair(ops, *, chunk: int = 4096, limits=(None,), mutate=None,
             mutate(core)
         consumed = []
         if engine == "legacy":
-            it = iter(ops)
-            for lim in limits:
-                consumed.append(core.consume(it, max_instructions=lim))
+            stream = TraceBufferStream(ops=iter(ops),
+                                       chunk_instructions=1 << 30)
+        elif stream_factory is not None:
+            stream = stream_factory()
         else:
-            if stream_factory is not None:
-                stream = stream_factory()
-            else:
-                stream = TraceBufferStream(ops=iter(ops),
-                                           chunk_instructions=chunk)
-            for lim in limits:
-                consumed.append(core.consume_stream(
-                    stream, max_instructions=lim, engine="vector"))
+            stream = TraceBufferStream(ops=iter(ops),
+                                       chunk_instructions=chunk)
+        for lim in limits:
+            consumed.append(core.consume_stream(
+                stream, max_instructions=lim, engine=engine))
         results.append((consumed, _state(core), events))
     (ca, sa, ea), (cb, sb, eb) = results
     assert ca == cb
@@ -137,7 +136,7 @@ def test_empty_and_single_op_buffers():
         bufs = [TraceBuffer()]                 # leading empty chunk
         for op in ops:                         # one op per buffer
             b = TraceBuffer()
-            b.extend([op])
+            b.fill_from(iter([op]), None)
             bufs.append(b)
             bufs.append(TraceBuffer())         # empty chunk after each
         return TraceBufferStream(buffers=iter(bufs))
@@ -188,8 +187,8 @@ def test_replacement_policies(policy):
 
 
 def test_native_disabled_falls_back(monkeypatch):
-    """REPRO_NATIVE=0 disables the kernel; engine="vector" silently
-    takes the batched path and stays bit-identical."""
+    """REPRO_NATIVE=0 disables the kernel; engine="vector" delegates to
+    the legacy interpreter and stays bit-identical."""
     monkeypatch.setenv("REPRO_NATIVE", "0")
     saved = native._lib, native._lib_resolved
     native._lib, native._lib_resolved = None, False
@@ -201,8 +200,8 @@ def test_native_disabled_falls_back(monkeypatch):
 
 
 def test_nativizable_guards():
-    """Stock shared-LLC and sampler configs are native now; anything
-    outside the kernel's model still delegates to the batched engine."""
+    """Stock shared-LLC and sampler configs are native; anything
+    outside the kernel's model delegates to the legacy interpreter."""
     from repro.uarch.multicore import SharedLlc
 
     machine = get_machine("i9")
@@ -220,7 +219,7 @@ def test_nativizable_guards():
                   shared_llc=SharedLlc(machine), core_id=0)
     assert native.nativizable(shared)
 
-    # A subclassed/unknown shared LLC still delegates silently.
+    # A subclassed/unknown shared LLC still delegates.
     weird = Core(machine, VirtualMemory())
     weird.shared_llc = object()
     assert not native.nativizable(weird)
@@ -244,7 +243,8 @@ def test_nativizable_guards():
 @needs_native
 def test_shared_llc_and_sampler_take_native_path():
     """Stock multicore + sampler configs must execute in the kernel —
-    no silent batched delegation (asserted via the entry counters)."""
+    no delegation to the interpreter (asserted via the entry
+    counters)."""
     from repro.harness.runner import Fidelity, run_multicore
     from test_batched_equivalence import _spec_of
 
@@ -269,17 +269,12 @@ def _run_hooked(ops, engine, interval, make_hook, chunk=4096,
     core = Core(get_machine("i9"), VirtualMemory())
     log = []
     core.set_cycle_hook(make_hook(log), interval)
-    consumed = []
     if engine == "legacy":
-        it = iter(ops)
-        for lim in limits:
-            consumed.append(core.consume(it, max_instructions=lim))
-    else:
-        stream = TraceBufferStream(ops=iter(ops), chunk_instructions=chunk)
-        for lim in limits:
-            consumed.append(core.consume_stream(stream,
-                                                max_instructions=lim,
-                                                engine=engine))
+        chunk = 1 << 30
+    stream = TraceBufferStream(ops=iter(ops), chunk_instructions=chunk)
+    consumed = [core.consume_stream(stream, max_instructions=lim,
+                                    engine=engine)
+                for lim in limits]
     return consumed, _state(core), log
 
 
@@ -352,8 +347,8 @@ def test_hook_with_limits_resumes_exactly():
 @pytest.mark.parametrize("case", ["small-interval", "mutating",
                                   "chunk-boundary"])
 def test_hook_parity_with_native_disabled(monkeypatch, case):
-    """REPRO_NATIVE=0: the same hooked runs silently take the batched
-    path and stay bit-identical to legacy."""
+    """REPRO_NATIVE=0: the same hooked runs delegate to the legacy
+    interpreter and stay bit-identical to it."""
     monkeypatch.setenv("REPRO_NATIVE", "0")
     saved = native._lib, native._lib_resolved
     native._lib, native._lib_resolved = None, False

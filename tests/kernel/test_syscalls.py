@@ -4,12 +4,14 @@ import random
 
 from repro.kernel.syscalls import SyscallKind, SyscallModel
 from repro.trace import (OP_BLOCK, OP_BRANCH, OP_LOAD, OP_STORE,
-                         REGION_KERNEL_CODE_BASE)
+                         REGION_KERNEL_CODE_BASE, TraceBuffer)
 
 
 def run_emit(model, kind, payload=0, ubuf=0x7F000000):
-    return list(model.emit(kind, random.Random(1), payload_bytes=payload,
-                           user_buffer=ubuf))
+    buf = TraceBuffer()
+    model.emit_into(buf, kind, random.Random(1), payload_bytes=payload,
+                    user_buffer=ubuf)
+    return list(buf.iter_ops())
 
 
 def count_instructions(ops):

@@ -89,16 +89,31 @@ def test_insufficient_history_never_judged(tmp_path):
 
 
 def test_series_fork_on_engine_and_fidelity(tmp_path):
-    """Same cost key under two engines = two independent series."""
+    """Engines share one series (they are bit-identical by contract);
+    fidelity still forks one.  A history recorded on one engine keeps
+    judging runs on the other."""
     path = tmp_path / "h.jsonl"
     store = baseline.BaselineStore(path)
-    for engine, secs in (("vector", 1.0), ("batched", 9.0)):
-        store.append([baseline.make_record(
-            key="k", workload="w", engine=engine, fidelity="f",
-            sim_seconds=secs, cpi=1.0) for _ in range(3)])
+    store.append([baseline.make_record(
+        key="k", workload="w", engine="batched", fidelity="f",
+        sim_seconds=1.0, cpi=1.0) for _ in range(3)])
+    store.append([baseline.make_record(
+        key="k", workload="w", engine="vector", fidelity="f",
+        sim_seconds=1.0, cpi=1.0)])
+    store.append([baseline.make_record(
+        key="k", workload="w", engine="vector", fidelity="g",
+        sim_seconds=9.0, cpi=1.0)])
+    assert set(store.series()) == {("k", "f"), ("k", "g")}
     rows = baseline.detect(store.load())
-    assert {(r["engine"], r["verdict"]) for r in rows} == \
-        {("vector", "ok"), ("batched", "ok")}
+    assert {(r["fidelity"], r["engine"], r["verdict"]) for r in rows} == \
+        {("f", "vector", "ok"), ("g", "vector", "insufficient")}
+    # A 20% jump on the other engine is judged against the shared history.
+    store.append([baseline.make_record(
+        key="k", workload="w", engine="vector", fidelity="f",
+        sim_seconds=1.2, cpi=1.0)])
+    rows = baseline.detect(store.load())
+    assert ("f", "sim_seconds", "regression") in \
+        {(r["fidelity"], r["metric"], r["verdict"]) for r in rows}
 
 
 def test_noisy_series_needs_real_excursion():

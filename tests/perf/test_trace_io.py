@@ -25,6 +25,14 @@ SAMPLE_OPS = [
 ]
 
 
+def program_ops(prog, n_ops):
+    """The first ``n_ops`` of a program's pushed op stream, as tuples."""
+    buf = TraceBuffer()
+    while len(buf) < n_ops:
+        prog.fill_buffer(buf, 4096)
+    return list(itertools.islice(buf.iter_ops(), n_ops))
+
+
 class TestRoundTrip:
     def test_ops_survive_roundtrip(self, tmp_path):
         path = tmp_path / "t.trace"
@@ -58,7 +66,7 @@ class TestRoundTrip:
         spec = next(s for s in dotnet_category_specs()
                     if s.name == "System.Runtime")
         prog = build_program(spec, seed=4)
-        ops = list(itertools.islice(prog.ops(), 5000))
+        ops = program_ops(prog, 5000)
         path = tmp_path / "w.trace"
         record(iter(ops), path)
         replayed = list(replay(path))
@@ -73,7 +81,7 @@ class TestRoundTrip:
         spec = next(s for s in dotnet_category_specs()
                     if s.name == "System.Linq")
         prog = build_program(spec, seed=4)
-        ops = list(itertools.islice(prog.ops(), 8000))
+        ops = program_ops(prog, 8000)
         path = tmp_path / "w.trace"
         record(iter(ops), path)
 
@@ -116,7 +124,7 @@ class TestEventSideChannel:
         from repro.workloads.aspnet import aspnet_specs
         spec = next(s for s in aspnet_specs() if s.name == "Json")
         prog = build_program(spec, seed=7)
-        ops = list(itertools.islice(prog.ops(), 20000))
+        ops = program_ops(prog, 20000)
         path = tmp_path / "w.trace"
         record(iter(ops), path)
 

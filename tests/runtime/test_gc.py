@@ -7,7 +7,7 @@ from repro.runtime.gc import (GarbageCollector, GcConfig,
                               OutOfManagedMemory, SERVER, WORKSTATION)
 from repro.runtime.heap import HeapConfig, LongLivedSet, ManagedHeap
 from repro.trace import (OP_BLOCK, OP_EVENT, OP_LOAD, OP_STORE,
-                         EV_GC_COMPLETED, EV_GC_TRIGGERED)
+                         EV_GC_COMPLETED, EV_GC_TRIGGERED, TraceBuffer)
 
 MB = 1024 * 1024
 
@@ -19,7 +19,9 @@ def make_gc(flavor=WORKSTATION, max_heap=2000 * MB):
 
 
 def run_collect(gc, heap, live, compact=True):
-    return list(gc.collect(heap, live, compact=compact))
+    buf = TraceBuffer()
+    gc.collect_into(buf, heap, live, compact=compact)
+    return list(buf.iter_ops())
 
 
 class TestBudgets:

@@ -1,9 +1,14 @@
 """Tests for the Large Object Heap."""
 
-import itertools
-
 from repro.runtime.heap import HeapConfig, ManagedHeap
-from repro.trace import OP_STORE
+from repro.trace import OP_STORE, TraceBuffer
+
+
+def push_ops(prog, n_ops):
+    """Generate at least ``n_ops`` ops (whole work items) from ``prog``."""
+    buf = TraceBuffer()
+    while len(buf) < n_ops:
+        prog.fill_buffer(buf, 4096)
 
 
 def make_heap():
@@ -66,26 +71,23 @@ class TestClrLargeAllocation:
 
     def test_alloc_large_zero_fills(self):
         clr = self.make_clr()
-        ops = list(clr.alloc_large(8192))
-        stores = [op for op in ops if op[0] == OP_STORE]
+        buf = TraceBuffer()
+        addr = clr.alloc_large_into(buf, 8192)
+        stores = [op for op in buf.iter_ops() if op[0] == OP_STORE]
         assert len(stores) == 8192 // 64
-        addr, size = clr._last_loh
-        assert size == 8192
         assert all(addr <= op[1] < addr + 8192 for op in stores)
 
     def test_free_large_enables_reuse(self):
         clr = self.make_clr()
-        list(clr.alloc_large(8192))
-        first = clr._last_loh
-        clr.free_large(*first)
-        list(clr.alloc_large(8192))
-        assert clr._last_loh[0] == first[0]
+        first = clr.alloc_large_into(TraceBuffer(), 8192)
+        clr.free_large(first, 8192)
+        assert clr.alloc_large_into(TraceBuffer(), 8192) == first
 
     def test_allocate_batch_routes_big_objects_to_loh(self):
         clr = self.make_clr()
         # Mean far above the LOH threshold: essentially every allocation
         # is large.
-        list(clr.allocate_batch(10, mean_size=50_000))
+        clr.allocate_batch_into(TraceBuffer(), 10, mean_size=50_000)
         assert clr.heap.stats.loh_allocations >= 5
 
 
@@ -96,8 +98,7 @@ class TestAspnetLohUsage:
         spec = next(s for s in aspnet_specs()
                     if s.name == "MvcJsonNetOutput2M")
         prog = build_program(spec, seed=1)
-        for _ in itertools.islice(prog.ops(), 250_000):
-            pass
+        push_ops(prog, 250_000)
         stats = prog.clr.heap.stats
         assert stats.loh_allocations >= 1
         # The buffer is recycled across requests (free-list reuse).
@@ -109,6 +110,5 @@ class TestAspnetLohUsage:
         from repro.workloads.program import build_program
         spec = next(s for s in aspnet_specs() if s.name == "Json")
         prog = build_program(spec, seed=1)
-        for _ in itertools.islice(prog.ops(), 60_000):
-            pass
+        push_ops(prog, 60_000)
         assert prog.clr.heap.stats.loh_allocations <= 2

@@ -22,11 +22,21 @@ def _columns(buf):
             buf.n_instructions)
 
 
+def _drain(stream):
+    """The stream's remaining ops as tuples, advancing it as a consumer
+    would."""
+    out = []
+    while (buf := stream.buffer()) is not None:
+        out.extend(list(buf.iter_ops())[stream.pos:])
+        stream.pos = len(buf)
+    return out
+
+
 class TestTraceBuffer:
     def test_push_emitters_match_fill_from(self):
         """The push API and the tuple adapter must build identical
-        buffers — workload generators use the former, trace replay and
-        the legacy adapter the latter."""
+        buffers — workload generators use the former, hand-built op
+        lists and version-1 trace replay the latter."""
         pushed = TraceBuffer()
         pushed.block(0x4000_0000, 10, 48, False)
         pushed.load(0xC000_0040)
@@ -41,7 +51,7 @@ class TestTraceBuffer:
 
     def test_iter_ops_roundtrip(self):
         buf = TraceBuffer()
-        buf.extend(OPS)
+        buf.fill_from(iter(OPS), None)
         assert list(buf.iter_ops()) == OPS
 
     def test_fill_from_bounds_never_split_an_op(self):
@@ -58,24 +68,13 @@ class TestTraceBuffer:
         with pytest.raises(ValueError, match="unknown op kind"):
             TraceBuffer().fill_from(iter([(99, 0)]), None)
 
-    def test_seal_precomputes_lines(self):
-        buf = TraceBuffer()
-        buf.extend(OPS)
-        assert buf.seal() is buf
-        assert buf.lines == [a >> 6 for a in buf.a0]
-        # line_ends: last byte of the op's span (blocks span n_bytes).
-        assert buf.line_ends[0] == (0x4000_0000 + 48 - 1) >> 6
-        lines = buf.lines
-        buf.seal()                       # idempotent
-        assert buf.lines is lines
-
     def test_color_private_offsets_only_mem_in_span(self):
         buf = TraceBuffer()
-        buf.extend(OPS)
-        buf.seal()
+        buf.fill_from(iter(OPS), None)
+        buf._vcols = (len(buf), "stale")  # the native kernel's column cache
         color = 1 << 40
         buf.color_private([(0xC000_0000, 0xD000_0000)], color)
-        assert buf.lines is None          # seal invalidated
+        assert buf._vcols is None         # cache invalidated
         out = list(buf.iter_ops())
         assert out[1] == (OP_LOAD, 0xC000_0040 + color)
         assert out[2] == (OP_STORE, 0xC000_0080 + color)
@@ -84,7 +83,7 @@ class TestTraceBuffer:
 
     def test_color_private_zero_color_is_noop(self):
         buf = TraceBuffer()
-        buf.extend(OPS)
+        buf.fill_from(iter(OPS), None)
         a0 = buf.a0
         buf.color_private([(0, 1 << 48)], 0)
         assert buf.a0 is a0
@@ -100,14 +99,14 @@ class TestTraceBufferStream:
     def test_chunks_ops_and_replays_all(self):
         many = OPS * 30
         stream = TraceBufferStream(ops=iter(many), chunk_instructions=64)
-        assert list(stream.iter_ops()) == many
+        assert _drain(stream) == many
 
     def test_resume_mid_chunk(self):
         stream = TraceBufferStream(ops=iter(OPS), chunk_instructions=1024)
         buf = stream.buffer()
         assert buf is not None and stream.pos == 0
         stream.pos = 3                    # consumer stopped mid-chunk
-        assert list(stream.iter_ops()) == OPS[3:]
+        assert _drain(stream) == OPS[3:]
 
     def test_filler_source(self):
         ops_iter = iter(OPS * 10)
@@ -116,20 +115,20 @@ class TestTraceBufferStream:
             return buf.fill_from(ops_iter, n_instructions)
 
         stream = TraceBufferStream(filler=filler, chunk_instructions=32)
-        assert list(stream.iter_ops()) == OPS * 10
+        assert _drain(stream) == OPS * 10
 
     def test_buffers_source_applies_transform(self):
         chunks = []
         for lo in range(0, len(OPS), 4):
             buf = TraceBuffer()
-            buf.extend(OPS[lo:lo + 4])
+            buf.fill_from(iter(OPS[lo:lo + 4]), None)
             chunks.append(buf)
         color = 1 << 40
         stream = TraceBufferStream(
             buffers=iter(chunks),
             transform=lambda b: b.color_private(
                 [(0xC000_0000, 0xD000_0000)], color))
-        out = list(stream.iter_ops())
+        out = _drain(stream)
         assert out[1] == (OP_LOAD, 0xC000_0040 + color)
         assert [o for o in out if o[0] == OP_BLOCK] \
             == [o for o in OPS if o[0] == OP_BLOCK]

@@ -2,7 +2,7 @@
 
 import itertools
 
-from repro.trace import OP_BLOCK, OP_LOAD
+from repro.trace import OP_BLOCK, OP_LOAD, TraceBufferStream
 from repro.uarch.machine import i9_9980xe
 from repro.uarch.multicore import MulticoreRunner, SharedLlc
 
@@ -16,7 +16,7 @@ def stream_factory(core_id):
             yield (OP_BLOCK, base + (i % 64) * 64, 10, 48, False)
             yield (OP_LOAD, data + (i * 64) % (1 << 21))
     from repro.uarch.pipeline import WorkloadHints
-    return ops(), WorkloadHints()
+    return TraceBufferStream(ops=ops()), WorkloadHints()
 
 
 class TestSharedLlc:

@@ -5,7 +5,7 @@ import itertools
 from repro.kernel.vm import VirtualMemory
 from repro.trace import (OP_BLOCK, OP_BRANCH, OP_EVENT, OP_LOAD, OP_STORE,
                          EV_GC_ALLOCATION_TICK, EV_JIT_STARTED,
-                         EV_REQUEST_DONE)
+                         EV_REQUEST_DONE, TraceBuffer)
 from repro.workloads.aspnet import aspnet_specs
 from repro.workloads.dotnet import dotnet_category_specs
 from repro.workloads.program import (AspNetProgram, DataModel,
@@ -23,14 +23,22 @@ def spec_by_name(name):
     raise KeyError(name)
 
 
+def op_stream(program):
+    """The program's infinite op stream as tuples, pushed chunk by chunk."""
+    while True:
+        buf = TraceBuffer()
+        program.fill_buffer(buf, 4096)
+        yield from buf.iter_ops()
+
+
 def take_ops(program, n_ops):
-    return list(itertools.islice(program.ops(), n_ops))
+    return list(itertools.islice(op_stream(program), n_ops))
 
 
 def take_instructions(program, n_instr):
     out = []
     n = 0
-    for op in program.ops():
+    for op in op_stream(program):
         out.append(op)
         if op[0] == OP_BLOCK:
             n += op[2]
