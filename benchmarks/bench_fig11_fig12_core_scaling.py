@@ -161,7 +161,7 @@ def test_multicore_engine_throughput(fidelity, machine_i9, emit,
          + f"\nJSON written to {JSON_PATH.name}")
 
     # The committed default-fidelity numbers target >=5x; this inline
-    # bound is looser because quick fidelity amortizes the per-session
+    # bound is looser because quick fidelity amortizes the per-core
     # image export over ~5x fewer instructions and CI boxes are noisy.
     floor = 3.0 if fidelity.measure_instructions >= 100_000 else 1.3
     assert section["min_speedup"] > floor

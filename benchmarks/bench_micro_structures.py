@@ -206,7 +206,7 @@ def test_micro_engine_cpi(machine_i9, emit):
     for kind in _KINDS:
         ops = _kind_ops(kind)
         # Shared pre-decoded buffers: both engines' runs measure the
-        # engine (for vector: export + kernel + writeback), not trace
+        # engine (for vector: export + kernel + book syncs), not trace
         # decode.
         stream0 = TraceBufferStream(ops=iter(ops))
         bufs = []

@@ -166,8 +166,8 @@ def test_simulator_throughput(fidelity, machine_i9, emit, tmp_path):
         # The native kernel measures 10-40x over the interpreter at
         # default fidelity (the committed JSON carries the numbers, and
         # CI gates the ratios PR over PR).  This inline gate is much
-        # looser: quick fidelity amortizes the per-run export/writeback
-        # cost over ~4x fewer instructions and CI runners are noisy.
+        # looser: quick fidelity amortizes the per-run export cost over
+        # ~4x fewer instructions and CI runners are noisy.
         assert payload["min_vector_speedup"] > 3.0
 
 
@@ -295,15 +295,15 @@ def test_observability_overhead(fidelity, machine_i9, emit, tmp_path):
                            for h in snap["histograms"].values())
         # Runner counters are unit increments, so the summed value is
         # the call count — except the native retirement counters,
-        # which bulk-add thousands of ops in one call per writeback
-        # drain (that batching is exactly why per-op telemetry is
-        # affordable).  Census those by call count: one drain per
-        # writeback, <= 6 adds each.
+        # which bulk-add thousands of ops in one call per drain (that
+        # batching is exactly why per-op telemetry is affordable).
+        # Census those by call count: one drain per book sync, <= 6
+        # adds each.
         counter_adds = round(sum(
             v for k, v in snap["counters"].items()
             if not k.startswith("native.ops_retired")))
         drains = snap["histograms"].get(
-            "native.writeback_seconds", {}).get("count", 0)
+            "native.sync_seconds", {}).get("count", 0)
         counter_adds += 6 * drains
 
         # Per-call primitive costs over the live paths (span cost

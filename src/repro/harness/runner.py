@@ -280,9 +280,10 @@ def run_multicore(spec: WorkloadSpec, machine: MachineConfig,
     symmetric).
 
     The default engine runs the whole interleaved round loop on the
-    native kernel: per-core images stay resident across quanta, the
-    shared LLC (slice-hashed epoch counters, contention-folded latency)
-    is modeled in C, and Python's M/M/1 ``update_contention`` runs
+    native kernel: each core is exported once and its image stays
+    resident across quanta, ``reset_stats`` and both phases, the shared
+    LLC (slice-hashed epoch counters, contention-folded latency) is
+    modeled in C, and Python's M/M/1 ``update_contention`` runs
     unchanged at every epoch boundary — bit-identical to the legacy
     interpreter at any core count.
 

@@ -103,10 +103,10 @@ class VirtualMemory:
         before = len(mapped)
         mapped.difference_update(range(first, last + 1))
         self.stats.unmapped_pages += before - len(mapped)
-        # Removals are the one mutation a (len, epoch) cache key cannot
-        # see through set length alone (remove+add keeps len constant),
-        # so they bump the epoch.  repro.uarch.native keys its exported
-        # page-table hash on it to skip rebuilds across consume calls.
+        # Removals are the one mutation a (len, epoch) key cannot see
+        # through set length alone (remove+add keeps len constant), so
+        # they bump the epoch.  A resident repro.uarch.native image
+        # rehashes its page table on entry only when that key changed.
         self._map_epoch += 1
 
     @property

@@ -228,9 +228,11 @@ class Cache:
         """Number of valid lines currently resident.
 
         Maintained incrementally by :meth:`fill` / :meth:`invalidate_range`
-        (the ``_lines`` membership set) — the sampler polls this per
-        bucket, and summing thousands of sets per poll showed up in
-        profiles.
+        (the ``_lines`` membership set), so a read is O(1).  Occupancy
+        is structure, not books: while the owning core's image is
+        resident in the native kernel (see :mod:`repro.uarch.native`),
+        reading it raises until :func:`repro.uarch.native.release`
+        writes the sets back.
         """
         return len(self._lines)
 

@@ -154,56 +154,36 @@ class MulticoreRunner:
             self.cores.append(core)
             self._streams.append(stream)
 
-    def _open_session(self):
-        """A native multicore session for ``engine="vector"``, or None.
-
-        The session (see :class:`repro.uarch.native.NativeMulticoreSession`)
-        keeps per-core kernel images alive across quanta — the shared LLC
-        is aliased into every image and the Python contention model runs
-        unchanged at epoch boundaries.  Without one (legacy engine, kernel
-        unavailable, non-nativizable core) every quantum goes through
-        ``Core.consume_stream``.
-        """
-        if self.engine != "vector":
-            return None
-        from repro.uarch import native
-        return native.multicore_session(self.cores)
-
     def run(self, instructions_per_core: int) -> MulticoreResult:
-        """Run all cores to ``instructions_per_core``, interleaved."""
+        """Run all cores to ``instructions_per_core``, interleaved.
+
+        Each quantum is one ``Core.consume_stream`` call.  On the vector
+        engine every core's image stays resident across quanta and
+        runs, aliasing the shared LLC's arrays; the books, the LLC's
+        epoch counters and its RNG state included, are current in
+        Python between quanta, which is all ``update_contention`` and
+        the epoch arithmetic read.
+        """
         remaining = [instructions_per_core] * self.n_cores
         epochs = 0
-        session = self._open_session()
-        try:
-            while any(r > 0 for r in remaining):
-                cycles_before = [c.cycles for c in self.cores]
-                progressed = False
-                for i, core in enumerate(self.cores):
-                    if remaining[i] <= 0:
-                        continue
-                    quantum = min(self.epoch_instructions, remaining[i])
-                    stream = self._streams[i]
-                    if session is not None:
-                        done = session.consume(i, stream, quantum)
-                    else:
-                        done = core.consume_stream(stream,
-                                                   max_instructions=quantum,
-                                                   engine=self.engine)
-                    remaining[i] -= done if done else remaining[i]
-                    if done:
-                        progressed = True
-                epoch_cycles = sum(c.cycles - b for c, b in
-                                   zip(self.cores, cycles_before)) \
-                    / self.n_cores
-                if session is not None:
-                    session.sync_epoch()
-                self.llc.update_contention(epoch_cycles, self.n_cores)
-                if session is not None:
-                    session.refresh_contention()
-                epochs += 1
-                if not progressed:      # all streams exhausted early
-                    break
-        finally:
-            if session is not None:
-                session.close()
+        while any(r > 0 for r in remaining):
+            cycles_before = [c.cycles for c in self.cores]
+            progressed = False
+            for i, core in enumerate(self.cores):
+                if remaining[i] <= 0:
+                    continue
+                quantum = min(self.epoch_instructions, remaining[i])
+                done = core.consume_stream(self._streams[i],
+                                           max_instructions=quantum,
+                                           engine=self.engine)
+                remaining[i] -= done if done else remaining[i]
+                if done:
+                    progressed = True
+            epoch_cycles = sum(c.cycles - b for c, b in
+                               zip(self.cores, cycles_before)) \
+                / self.n_cores
+            self.llc.update_contention(epoch_cycles, self.n_cores)
+            epochs += 1
+            if not progressed:          # all streams exhausted early
+                break
         return MulticoreResult(self.cores, self.llc, epochs)

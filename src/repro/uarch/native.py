@@ -4,24 +4,46 @@ The vector engine — the default — runs the per-op simulation loop in a
 small C kernel (``_kernel.c``) compiled on first use with the system
 compiler and loaded via ctypes.  Python owns every byte of simulator
 state as numpy arrays: :class:`CoreImage` exports a
-:class:`~repro.uarch.pipeline.Core` into flat arrays, the kernel mutates
-them in place, and ``writeback`` reconstructs the exact Python object
-state (including dict insertion order where it is semantically
-observable) so results are bit-identical to the legacy engine, the
-reference interpreter.
+:class:`~repro.uarch.pipeline.Core` into flat arrays that the kernel
+mutates in place, and results are bit-identical to the legacy engine,
+the reference interpreter.
+
+**Resident images: books and structure.**  A core is exported once, on
+its first native consume, and its image stays attached to it (as
+``core._image``) across consume calls, ``reset_stats``, cycle-hook
+exits and multicore quanta.  The core's state splits in two:
+
+* The *books* — counts, stall buckets, ideal cycles, every ``.stats``,
+  the cycle-hook threshold, the cache RNG states and the shared LLC's
+  epoch counters — are what ``collect_counters``, ``profile_core``,
+  ``reset_stats``, ``MulticoreResult`` and the sampler read or reset.
+  They are synced in both directions at every return to Python (one
+  table, :meth:`CoreImage._books`), so Python may read and mutate them
+  freely between kernel runs.  The VM's page set is kept current too:
+  the kernel logs its inserts, and a page set changed from Python
+  (``premap_range``) is rehashed on the next entry.
+* The *structure* — cache and TLB sets, gshare, loop and BTB tables,
+  prefetch streams, DRAM rows and the last-line scalars — lives only in
+  the image.  The Python attributes hold a :class:`Resident` placeholder
+  whose every use raises :class:`StaleStructureError`, until
+  :func:`release` writes the structure back (including dict insertion
+  order where it is semantically observable) and detaches the image.
+  The legacy interpreter calls it before it runs a core.
 
 Two stateful-callback cases run natively via resume protocols rather
 than falling back:
 
 * **Cycle hooks** (the sampler) use a trampoline: the kernel tracks
   ``next_hook_cycles`` and exits with a ``HOOK`` status at the block op
-  that crossed the threshold; the driver writes state back, runs the
-  Python hook against the live ``Core``, and re-enters the kernel.
+  that crossed the threshold; the driver syncs the books, runs the
+  Python hook against the live ``Core``, syncs them back and re-enters
+  the kernel.  A hook that needs structure calls :func:`release`; the
+  driver then re-exports before it re-enters.
 * **The shared LLC** (multicore) is one set of arrays aliased into
-  every core's image (:class:`NativeMulticoreSession`): slice-hashed
-  epoch counters and the contention-folded L3 latency live in C, while
-  Python's M/M/1 ``update_contention`` runs unchanged between epoch
-  quanta.
+  every image of a core that shares it: slice-hashed epoch counters
+  and the contention-folded L3 latency live in C, while Python's M/M/1
+  ``update_contention`` runs unchanged on the synced epoch counters
+  between quanta.
 
 When the kernel is unavailable (no compiler, ``REPRO_NATIVE=0``) or the
 core uses a configuration the kernel does not model (subclassed shared
@@ -30,6 +52,8 @@ the legacy interpreter: same results, 11-35x slower.  Delegation is
 never silent — it is counted in :data:`delegations` (and the
 ``native.delegations{reason=...}`` metric) and warned about once per
 process; :func:`last_error` keeps the reason the kernel failed to load.
+Under ``REPRO_NATIVE=require`` it raises :class:`DelegationError`
+instead, for CI and benchmarks.
 """
 
 from __future__ import annotations
@@ -42,6 +66,7 @@ import tempfile
 import threading
 import time
 import warnings
+import weakref
 
 import numpy as np
 
@@ -119,30 +144,53 @@ PI_N = PI_TLB0 + 2 * _NTLB
 
 _C_LLC = 3                         # LLC's index in the caches tuple
 
+# Book fields, in kernel slot order (see CoreImage._books).
+_COUNT_FIELDS = ("instructions", "kernel_instructions", "branches",
+                 "loads", "stores", "dtlb_load_walks", "dtlb_store_walks",
+                 "itlb_walks")
+_CACHE_STAT_FIELDS = ("accesses", "misses", "demand_accesses",
+                      "demand_misses", "prefetch_fills", "useful_prefetches",
+                      "useless_prefetches", "evictions", "writebacks")
+_TLB_STAT_FIELDS = ("accesses", "misses", "walks")
+_BRANCH_STAT_FIELDS = ("branches", "mispredicts", "btb_misses", "taken")
+_PF_STAT_FIELDS = ("issued", "page_bounded")
+_DRAM_STAT_FIELDS = ("reads", "writes", "row_hits", "row_misses",
+                     "bytes_read", "bytes_written")
+_VM_STAT_FIELDS = ("minor_faults", "major_faults", "mapped_pages")
+
+# The int books the kernel reaches through their own pointers share one
+# array per image (so a sync is one numpy op): 5 x cache stats, 3 x TLB
+# stats, the DRAM stats, then [epoch_total, slice_0..slice_{n-1}].
+IB_TLB0 = _NCACHE * len(_CACHE_STAT_FIELDS)
+IB_DRAM = IB_TLB0 + _NTLB * len(_TLB_STAT_FIELDS)
+IB_EPOCH = IB_DRAM + len(_DRAM_STAT_FIELDS)
+
 (_STATUS_DONE, _STATUS_LIMIT, _STATUS_VM_FULL,
  _STATUS_HOOK, _STATUS_BAD) = 0, 1, 2, 3, -1
 
 #: Kernel-entry telemetry for the fallback/guard tests: proves a config
 #: really took the native path (and how) without instrumenting the hot
-#: loop.  Monotonic per process; tests diff around a call.  The
-#: ``ops_*`` keys are retirement counters the kernel itself increments
-#: (one aligned int64 add per op) and ``writeback`` drains here, so the
-#: totals survive image teardown; ``vm_hash_builds`` counts the exports
-#: that missed the page-hash cache and rebuilt it from ``vm._mapped``.
+#: loop.  Monotonic per process; tests diff around a call.  ``exports``
+#: counts :class:`CoreImage` constructions (one per core and run while
+#: images stay resident).  The ``ops_*`` keys are retirement counters
+#: the kernel itself increments (one aligned int64 add per op) and every
+#: book sync drains here; ``vm_hash_builds`` counts page-hash builds
+#: from ``vm._mapped`` (at export, and on entry after Python changed
+#: the page set).
 stats = {"consume_calls": 0, "kernel_calls": 0, "hook_exits": 0,
-         "sessions": 0, "ops_retired": 0, "vm_hash_builds": 0,
+         "exports": 0, "ops_retired": 0, "vm_hash_builds": 0,
          "ops_block": 0, "ops_branch": 0, "ops_load": 0,
          "ops_store": 0, "ops_event": 0}
-_stats = stats  # alias for scopes where a cache/tlb unpack shadows ``stats``
 
 #: Kernel dispatch order: index ``k`` maps to ``stats["ops_<name>"]``
 #: and the ``SI_OPK0 + k`` retirement slot.  Must match ``_kernel.c``.
 OP_KIND_NAMES = ("block", "branch", "load", "store", "event")
 
-# Images currently exported to the kernel.  ``ops_retired()`` folds
-# their live slots into the drained totals; ``writeback`` removes them.
+# Images attached to a core.  ``ops_retired()`` folds their live slots
+# into the drained totals.  Weak, so a discarded core's image is freed
+# with it; its slots were drained at its last book sync.
 _live_lock = threading.Lock()
-_live_images: dict[int, "CoreImage"] = {}
+_live_images: "weakref.WeakSet[CoreImage]" = weakref.WeakSet()
 
 
 def ops_retired() -> int:
@@ -151,14 +199,13 @@ def ops_retired() -> int:
     Safe (and cheap) to poll from another thread mid-run: the ctypes
     call into the kernel releases the GIL, and the kernel's increments
     are aligned int64 stores, so the live-slot reads are tear-free on
-    every supported target.  Finished images have drained into
-    ``stats``; live ones are read straight from their kernel-owned
-    scalar slots, so the sum is monotonic and never double-counts.
+    every supported target.  Book syncs drain the slots into ``stats``
+    under the same lock, so the sum is monotonic and never
+    double-counts.
     """
     with _live_lock:
-        live = sum(int(img.si[SI_OPS_RETIRED])
-                   for img in _live_images.values())
-    return stats["ops_retired"] + live
+        live = sum(int(img.si[SI_OPS_RETIRED]) for img in _live_images)
+        return stats["ops_retired"] + live
 
 # ---------------------------------------------------------------------------
 # Kernel build & load.
@@ -295,16 +342,31 @@ def delegation_reason(core) -> str | None:
     return None
 
 
+class DelegationError(RuntimeError):
+    """An ``engine="vector"`` run would delegate under
+    ``REPRO_NATIVE=require``."""
+
+
 def note_delegation(reason: str) -> None:
-    """Count one delegated consume call; warn on the first per process."""
+    """Count one delegated consume call; warn on the first per process.
+
+    Under ``REPRO_NATIVE=require`` raise :class:`DelegationError`
+    instead, naming the reason and :func:`last_error`, so a run that
+    would silently take the 11-35x slower interpreter fails.
+    """
     global _delegation_warned
     delegations[reason] += 1
     if obs.enabled():
         obs.add(labeled("native.delegations", reason=reason))
+    detail = last_error() if reason == "unavailable" else \
+        "core configuration outside the kernel's model"
+    if os.environ.get("REPRO_NATIVE") == "require":
+        raise DelegationError(
+            f"engine 'vector' would run on the legacy interpreter "
+            f"({reason}: {detail}) and REPRO_NATIVE=require forbids it; "
+            f"native.last_error() = {last_error()!r}")
     if not _delegation_warned:
         _delegation_warned = True
-        detail = last_error() if reason == "unavailable" else \
-            "core configuration outside the kernel's model"
         warnings.warn(
             f"engine 'vector' is running on the legacy interpreter "
             f"({reason}: {detail}); results are identical but 11-35x "
@@ -420,20 +482,14 @@ def _export_cache(cache):
     tags = np.zeros(n, dtype=np.int64)
     flags = np.zeros(n, dtype=np.uint8)
     cnt = _export_assoc(cache._sets, cache.n_sets, cache.ways, tags, flags)
-    st = cache.stats
-    stats = np.array([st.accesses, st.misses, st.demand_accesses,
-                      st.demand_misses, st.prefetch_fills,
-                      st.useful_prefetches, st.useless_prefetches,
-                      st.evictions, st.writebacks], dtype=np.int64)
-    return tags, flags, cnt, stats
+    return tags, flags, cnt
 
 
-def _import_cache(cache, tags, flags, cnt, stats):
+def _import_cache(cache, tags, flags, cnt):
     ways = cache.ways
     tl, fl, cl = tags.tolist(), flags.tolist(), cnt.tolist()
-    sets = cache._sets
-    lines = cache._lines
-    lines.clear()
+    sets = []
+    lines = set()
     for si in range(cache.n_sets):
         base = si * ways
         bucket = []
@@ -441,175 +497,167 @@ def _import_cache(cache, tags, flags, cnt, stats):
             t, f = tl[k], fl[k]
             bucket.append([t, bool(f & 1), bool(f & 2), bool(f & 4)])
             lines.add(t)
-        sets[si] = bucket
-    st = cache.stats
-    sl = stats.tolist()
-    (st.accesses, st.misses, st.demand_accesses, st.demand_misses,
-     st.prefetch_fills, st.useful_prefetches, st.useless_prefetches,
-     st.evictions, st.writebacks) = sl
+        sets.append(bucket)
+    cache._sets = sets
+    cache._lines = lines
 
 
 def _export_tlb(tlb):
-    n = tlb.n_sets * tlb.ways
-    vpns = np.zeros(n, dtype=np.int64)
+    vpns = np.zeros(tlb.n_sets * tlb.ways, dtype=np.int64)
     cnt = _export_assoc(tlb._sets, tlb.n_sets, tlb.ways, vpns, None)
-    st = tlb.stats
-    stats = np.array([st.accesses, st.misses, st.walks], dtype=np.int64)
-    return vpns, cnt, stats
+    return vpns, cnt
 
 
-def _import_tlb(tlb, vpns, cnt, stats):
+def _import_tlb(tlb, vpns, cnt):
     ways = tlb.ways
     vl, cl = vpns.tolist(), cnt.tolist()
-    sets = tlb._sets
-    resident = tlb._resident
-    resident.clear()
-    for si in range(tlb.n_sets):
-        base = si * ways
-        bucket = vl[base:base + cl[si]]
-        resident.update(bucket)
-        sets[si] = bucket
-    st = tlb.stats
-    st.accesses, st.misses, st.walks = stats.tolist()
+    sets = [vl[si * ways:si * ways + cl[si]] for si in range(tlb.n_sets)]
+    tlb._sets = sets
+    tlb._resident = {v for bucket in sets for v in bucket}
+
+
+# ---------------------------------------------------------------------------
+# Resident structure.
+
+class StaleStructureError(RuntimeError):
+    """Python used core structure that lives in a native image."""
+
+
+class Resident:
+    """Placeholder for core structure that lives in a native image.
+
+    Export swaps it in for every structure attribute it copies into the
+    image, so Python never reads a stale copy: any use raises
+    :class:`StaleStructureError` until :func:`release` writes the image
+    back.  Only the LLC's placeholder has a ``home``: the
+    :class:`_LlcShare` whose arrays the next core sharing that LLC
+    aliases.
+    """
+
+    __slots__ = ("home",)
+
+    def __init__(self, home=None) -> None:
+        self.home = home
+
+    def __repr__(self) -> str:
+        return "<structure resident in a native image>"
+
+    def _stale(self, *args, **kwargs):
+        raise StaleStructureError(
+            "core structure is resident in a native kernel image; call "
+            "repro.uarch.native.release(core) before using it from Python")
+
+    __getattr__ = __len__ = __iter__ = __contains__ = _stale
+    __getitem__ = __setitem__ = __delitem__ = _stale
+    __eq__ = __ne__ = __lt__ = __le__ = __gt__ = __ge__ = __hash__ = _stale
+    __bool__ = __int__ = __index__ = __float__ = _stale
+    __add__ = __radd__ = __sub__ = __rsub__ = __mul__ = __rmul__ = _stale
+    __and__ = __rand__ = __or__ = __ror__ = __xor__ = _stale
+    __lshift__ = __rshift__ = __reduce_ex__ = _stale
+
+
+RESIDENT = Resident()
+
+
+class _LlcShare:
+    """One LLC's structure arrays and the attached images aliasing them.
+
+    A private LLC has one member.  A
+    :class:`~repro.uarch.multicore.SharedLlc` has one per resident core,
+    so every kernel sees one coherent LLC whichever core runs.  The
+    LLC's books (stats, RNG state, epoch counters) are per image and
+    move between cores through Python, like every other book.
+    """
+
+    __slots__ = ("arrays", "members")
+
+    def __init__(self, arrays) -> None:
+        self.arrays = arrays          # (tags, flags, cnt)
+        self.members: list[CoreImage] = []
 
 
 # ---------------------------------------------------------------------------
 # Core state image.
 
 class CoreImage:
-    """Flat-array image of a Core's mutable state, shared with the kernel.
+    """Flat-array image of a Core's state, resident on the core.
 
-    ``__init__`` exports, the kernel mutates the arrays in place through
-    the pointer table, ``writeback`` reconstructs the Python objects.
-    Derived stall constants are evaluated here with the *same expression
-    shapes* the legacy per-op code uses, so the doubles the kernel
-    accumulates are bit-identical.
+    ``__init__`` exports structure and books and attaches the image as
+    ``core._image``; :meth:`push_books` and :meth:`pull_books` sync the
+    books at every kernel entry and return to Python; ``run_buffer``
+    runs the kernel; ``writeback`` writes the structure back and
+    detaches.  Derived stall constants are evaluated with the *same
+    expression shapes* the legacy per-op code uses, so the doubles the
+    kernel accumulates are bit-identical.
 
-    ``shared_llc_image``: when several cores share one
-    :class:`~repro.uarch.multicore.SharedLlc`, the first core's image
-    owns the LLC arrays (tags/flags/cnt/stats + epoch counters) and
-    every later image aliases them, so the kernels see one coherent
-    LLC no matter which core runs.  Only the owner writes the LLC back.
+    Cores sharing one :class:`~repro.uarch.multicore.SharedLlc` alias
+    one set of LLC structure arrays (tags/flags/cnt): the first core
+    exported creates them, later ones find them through the LLC's
+    :class:`Resident` placeholder.
     """
 
-    def __init__(self, core, shared_llc_image=None) -> None:
+    def __init__(self, core) -> None:
         from repro.uarch.pipeline import ALL_BUCKETS
         _t0 = time.perf_counter_ns() if obs.enabled() else None
+        stats["exports"] += 1
         self.core = core
         self.buckets = ALL_BUCKETS
-        m = core.machine
-        h = core.hints
         self.si = np.zeros(SI_N, dtype=np.int64)
         self.sd = np.zeros(SD_N, dtype=np.float64)
         self.pd = np.zeros(PD_N, dtype=np.float64)
         self.pi = np.zeros(PI_N, dtype=np.int64)
         self.ptab = (ctypes.c_void_p * P_N)()
-        self._keep = []            # arrays the pointer table references
+        self._keep = {}            # pointer-table slot -> array it points at
 
-        si, sd, pd, pi = self.si, self.sd, self.pd, self.pi
+        si, pi = self.si, self.pi
 
-        # -- scalars -----------------------------------------------------
-        c = core.counts
-        si[SI_INSTR] = c.instructions
-        si[SI_KINSTR] = c.kernel_instructions
-        si[SI_BRANCHES] = c.branches
-        si[SI_LOADS] = c.loads
-        si[SI_STORES] = c.stores
-        si[SI_DTLB_LWALK] = c.dtlb_load_walks
-        si[SI_DTLB_SWALK] = c.dtlb_store_walks
-        si[SI_ITLB_WALK] = c.itlb_walks
+        # -- core scalars --------------------------------------------------
         si[SI_LAST_CODE_LINE] = core._last_code_line
         si[SI_LAST_CODE_PAGE] = core._last_code_page
         si[SI_LAST_DATA_VPN] = core._last_data_vpn
         si[SI_KMODE] = int(core._kernel_mode)
-        sd[SD_IDEAL] = core._ideal_cycles
-        sd[SD_UOPS] = c.uops
-        for k, b in enumerate(self.buckets):
-            sd[SD_ST0 + k] = core.stalls[b]
 
-        # -- derived constants (legacy expression shapes) -----------------
-        width = m.pipeline_width
-        pd[PD_UOP_FACTOR] = h.uop_factor
-        pd[PD_INV_WIDTH] = 1.0 / width
-        pd[PD_WIDTH] = float(width)
-        ilp = min(h.ilp, width)
-        ports_on = ilp < width
-        pd[PD_PORTS_ON] = 1.0 if ports_on else 0.0
-        pd[PD_PORTS_COEFF] = (1.0 / ilp - 1.0 / width) if ports_on else 0.0
-        pd[PD_DIV_FRAC] = h.div_frac
-        pd[PD_DIV_PEN] = core.DIV_PENALTY
-        pd[PD_MICRO_FRAC] = h.microcode_frac
-        pd[PD_MS_PEN] = float(m.ms_switch_penalty)
-        pd[PD_MITE_COEFF] = (1.0 / (m.decode_width * core.MITE_EFFICIENCY)
-                             - 1.0 / width)
-        pd[PD_ITLB_WALK] = m.page_walk_latency * (1 - core.ITLB_OVERLAP)
-        pd[PD_DTLB_WALK] = m.page_walk_latency / h.mlp
-        icache_vis = 1 - core.ICACHE_OVERLAP
-        hidden = (1 - core.DATA_OVERLAP) / h.mlp
-        self._icache_vis = icache_vis
-        self._hidden = hidden
-        pd[PD_ICACHE_L2] = m.l2.latency * icache_vis
-        pd[PD_ICACHE_DRAM] = m.dram_latency * icache_vis
-        pd[PD_L1_HIT] = m.l1d.latency * core.L1_VISIBLE
-        pd[PD_BE_L2] = (m.l2.latency - m.l1d.latency) * hidden
-        pd[PD_BE_DRAM] = (m.dram_latency - m.llc.latency) * hidden
-        # L3 latencies fold in the shared LLC's current contention term
-        # (0.0 for a private LLC) with the exact legacy expression
-        # shapes; refresh_contention() recomputes them after each
-        # update_contention epoch.
-        self.refresh_contention()
-        # Cycle-hook trampoline state: the kernel checks the threshold
-        # (a single `if`, like _op_block) and exits with _STATUS_HOOK.
-        sd[SD_NEXT_HOOK] = core._next_hook_cycles
-        pd[PD_HOOK_INTERVAL] = core.cycle_hook_interval
-        pd[PD_STORE_PEN] = core.STORE_MISS_PENALTY
-        pd[PD_MIS_PEN] = float(m.mispredict_penalty)
-        pd[PD_RESTEER_PEN] = float(m.btb_resteer_penalty)
-        pd[PD_TAKEN_BUBBLE] = core.TAKEN_BRANCH_BUBBLE
-        pd[PD_PF_DRAM] = m.dram_latency * 0.22 / h.mlp
-        vm = core.vm
-        pd[PD_MINOR_FAULT] = float(vm.MINOR_FAULT_CYCLES)
-        pd[PD_MAJOR_FAULT] = float(vm.MAJOR_FAULT_CYCLES)
+        # -- int books the kernel reaches by pointer (see IB_*) -----------
+        sll = core.shared_llc
+        n_slices = sll.n_slices if sll is not None else 0
+        self.ib = np.zeros(IB_EPOCH + 1 + n_slices, dtype=np.int64)
+        nc, nt = len(_CACHE_STAT_FIELDS), len(_TLB_STAT_FIELDS)
 
-        # -- caches -------------------------------------------------------
+        # -- caches (the LLC's arrays may be another core's) ---------------
         self.caches = (core.l1i, core.l1d, core.l2, core.llc, core.dsb)
-        self._llc_owner = shared_llc_image is None
+        home = core.llc._sets
+        share = home.home if isinstance(home, Resident) \
+            else _LlcShare(_export_cache(core.llc))
+        share.members.append(self)
+        self.llc_share = share
         self.cache_arrays = []
         for k, cache in enumerate(self.caches):
-            if k == _C_LLC and shared_llc_image is not None:
-                tags, flags, cnt, stats = shared_llc_image.cache_arrays[k]
-            else:
-                tags, flags, cnt, stats = _export_cache(cache)
-            self.cache_arrays.append((tags, flags, cnt, stats))
-            self._set_ptr(P_CACHE0 + 4 * k, tags)
-            self._set_ptr(P_CACHE0 + 4 * k + 1, flags)
-            self._set_ptr(P_CACHE0 + 4 * k + 2, cnt)
-            self._set_ptr(P_CACHE0 + 4 * k + 3, stats)
+            arrays = share.arrays if k == _C_LLC else _export_cache(cache)
+            self.cache_arrays.append(arrays)
+            for j, arr in enumerate(arrays):
+                self._set_ptr(P_CACHE0 + 4 * k + j, arr)
+            self._set_ptr(P_CACHE0 + 4 * k + 3,
+                          self.ib[k * nc:(k + 1) * nc])
             pi[PI_CACHE0 + 4 * k] = cache._index_mask
             pi[PI_CACHE0 + 4 * k + 1] = cache.ways
             pi[PI_CACHE0 + 4 * k + 2] = int(cache._lru)
             pi[PI_CACHE0 + 4 * k + 3] = int(cache._evict_head)
-            si[SI_RAND0 + k] = cache._rand_state
 
         # -- TLBs ---------------------------------------------------------
         self.tlbs = (core.itlb.l1, core.dtlb.l1, core.itlb.stlb)
         self.tlb_arrays = []
         for k, tlb in enumerate(self.tlbs):
-            vpns, cnt, stats = _export_tlb(tlb)
-            self.tlb_arrays.append((vpns, cnt, stats))
-            self._set_ptr(P_TLB0 + 3 * k, vpns)
-            self._set_ptr(P_TLB0 + 3 * k + 1, cnt)
-            self._set_ptr(P_TLB0 + 3 * k + 2, stats)
+            arrays = _export_tlb(tlb)
+            self.tlb_arrays.append(arrays)
+            for j, arr in enumerate(arrays):
+                self._set_ptr(P_TLB0 + 3 * k + j, arr)
+            at = IB_TLB0 + k * nt
+            self._set_ptr(P_TLB0 + 3 * k + 2, self.ib[at:at + nt])
             pi[PI_TLB0 + 2 * k] = tlb._index_mask
             pi[PI_TLB0 + 2 * k + 1] = tlb.ways
 
         # -- branch unit ---------------------------------------------------
         bu = core.branch_unit
-        bst = bu.stats
-        si[SI_BU_BR] = bst.branches
-        si[SI_BU_MIS] = bst.mispredicts
-        si[SI_BU_BTBM] = bst.btb_misses
-        si[SI_BU_TK] = bst.taken
         gs = bu.predictor
         si[SI_GS_HIST] = gs._history
         pi[PI_HIST_BITS] = gs.history_bits
@@ -675,12 +723,6 @@ class CoreImage:
         # -- prefetchers ---------------------------------------------------
         pf_i, pf_d, pf2 = (core.l1i_prefetcher, core.l1d_prefetcher,
                            core.l2_prefetcher)
-        si[SI_L1IPF_ISS] = pf_i.stats.issued
-        si[SI_L1IPF_PB] = pf_i.stats.page_bounded
-        si[SI_L1DPF_ISS] = pf_d.stats.issued
-        si[SI_L1DPF_PB] = pf_d.stats.page_bounded
-        si[SI_L2PF_ISS] = pf2.stats.issued
-        si[SI_L2PF_PB] = pf2.stats.page_bounded
         si[SI_L1IPF_LAST] = pf_i._last_line
         si[SI_L1DPF_LAST] = pf_d._last_line
         pi[PI_SPF_MAX] = pf2.max_streams
@@ -702,84 +744,38 @@ class CoreImage:
         self.dram_rows = np.full(dram.n_banks, -1, dtype=np.int64)
         for bank, row in dram._open_rows.items():
             self.dram_rows[bank] = row
-        dst = dram.stats
-        self.dram_st = np.array([dst.reads, dst.writes, dst.row_hits,
-                                 dst.row_misses, dst.bytes_read,
-                                 dst.bytes_written], dtype=np.int64)
         self._set_ptr(P_DRAM_ROWS, self.dram_rows)
-        self._set_ptr(P_DRAM_ST, self.dram_st)
+        self._set_ptr(P_DRAM_ST, self.ib[IB_DRAM:IB_EPOCH])
 
         # -- shared-LLC epoch counters ------------------------------------
         # The kernel mirrors SharedLlc.access: bump the epoch total and
-        # the slice-hashed bucket on every demand LLC lookup.  The array
-        # is the live store while an image exists; writeback copies it
-        # into the Python fields (overwrite semantics, so repeated
-        # drains are idempotent).  Private LLC: a dummy slot with
-        # PI_LLC_SLICES = 0 disables counting in C.
-        sll = core.shared_llc
-        if sll is None:
-            self.llc_epoch = np.zeros(1, dtype=np.int64)
-        elif shared_llc_image is not None:
-            self.llc_epoch = shared_llc_image.llc_epoch
-            pi[PI_LLC_SLICES] = sll.n_slices
-        else:
-            self.llc_epoch = np.zeros(1 + sll.n_slices, dtype=np.int64)
-            self.llc_epoch[0] = sll._accesses_this_epoch
-            self.llc_epoch[1:] = sll.slice_accesses
-            pi[PI_LLC_SLICES] = sll.n_slices
-        self._set_ptr(P_LLC_EPOCH, self.llc_epoch)
+        # the slice-hashed bucket on every demand LLC lookup.  Private
+        # LLC: a dummy slot with PI_LLC_SLICES = 0 disables counting.
+        pi[PI_LLC_SLICES] = n_slices
+        self._set_ptr(P_LLC_EPOCH, self.ib[IB_EPOCH:])
 
         # -- virtual memory ------------------------------------------------
-        vst = vm.stats
-        si[SI_VM_MIN] = vst.minor_faults
-        si[SI_VM_MAJ] = vst.major_faults
-        si[SI_VM_MAPPED] = vst.mapped_pages
-        si[SI_VM_SEQ] = vm._fault_seq
-        si[SI_VM_CNT] = len(vm._mapped)
-        frac = vm.major_fault_fraction
+        frac = core.vm.major_fault_fraction
         pi[PI_MAJOR_PERIOD] = (max(1, round(1 / frac)) if frac > 0 else 0)
-        # The exported page-table hash is the expensive part of an
-        # export on page-heavy workloads (SPEC premaps ~10^6 pages), so
-        # it is cached on the vm instance keyed by (len, epoch): length
-        # catches additions, the epoch catches removals (the one
-        # mutation length can miss — see VirtualMemory.unmap_range).
-        # After a run the hash holds exactly ``_mapped`` (kernel-added
-        # pages are inserted and drained), so consume_stream_native
-        # refreshes the key and the next export reuses the arrays.
-        key = (len(vm._mapped), vm._map_epoch)
-        cached = getattr(vm, "_native_page_hash", None)
-        if cached is not None and cached[0] == key:
-            _, self.vm_hash, self.vm_log = cached
-            pi[PI_VM_HMASK] = len(self.vm_hash) - 1
-        else:
-            _stats["vm_hash_builds"] += 1
-            if _t0 is not None:
-                obs.add("native.vm_hash_builds", 1.0)
-            # The kernel pauses for _grow_vm before the table passes
-            # half load, so twice the live pages (plus headroom) is
-            # the smallest table it accepts without an immediate grow.
-            cap = _next_pow2(2 * (len(vm._mapped) + 64))
-            pi[PI_VM_HMASK] = cap - 1
-            self.vm_hash = np.full(cap, -1, dtype=np.int64)
-            if vm._mapped:
-                keys = np.fromiter(vm._mapped, dtype=np.int64,
-                                   count=len(vm._mapped))
-                get_lib().repro_vm_build(keys.ctypes.data, len(keys),
-                                         self.vm_hash.ctypes.data, cap - 1)
-            # Scratch: the kernel writes entries before bumping the
-            # count, so the log never needs zero-filling.
-            self.vm_log = np.empty(cap, dtype=np.int64)
-            vm._native_page_hash = (key, self.vm_hash, self.vm_log)
-        self._set_ptr(P_VM_HASH, self.vm_hash)
-        self._set_ptr(P_VM_LOG, self.vm_log)
+        self._build_vm_hash()
 
         self._set_ptr(P_SI, si)
-        self._set_ptr(P_SD, sd)
-        self._set_ptr(P_PD, pd)
+        self._set_ptr(P_SD, self.sd)
+        self._set_ptr(P_PD, self.pd)
         self._set_ptr(P_PI, pi)
-
+        # Flat slot indices per array, in table order: each sync is one
+        # fancy-indexed read or write per array.
+        rows = self._books()
+        self._plan = []
+        for arr in (self.si, self.sd, self.ib):
+            idx = [slot + j for _, fields, a, slot in rows if a is arr
+                   for j in range(len(fields))]
+            self._plan.append((arr, np.array(idx, dtype=np.intp)))
+        self.push_books()
+        self._make_resident()
+        core._image = self
         with _live_lock:
-            _live_images[id(self)] = self
+            _live_images.add(self)
         if _t0 is not None:
             obs.observe("native.export_seconds",
                         (time.perf_counter_ns() - _t0) * 1e-9)
@@ -787,7 +783,176 @@ class CoreImage:
     # ------------------------------------------------------------------
     def _set_ptr(self, slot: int, arr) -> None:
         self.ptab[slot] = arr.ctypes.data
-        self._keep.append(arr)
+        self._keep[slot] = arr
+
+    def _books(self):
+        """The books, as ``(owner, fields, array, first slot)`` rows.
+
+        Everything Python reads or resets between kernel runs: counts,
+        ideal cycles, stall buckets, the cycle-hook threshold, every
+        ``.stats``, the cache RNG states and the shared LLC's epoch
+        counters (the shared LLC's books move from core to core through
+        Python).  Owners are looked up on every sync, since
+        ``reset_stats`` swaps in new objects; a dict or list owner is
+        indexed by its fields.  Rows are grouped by array, in the order
+        of ``self._plan``.  Export and both sync directions use this
+        table.
+        """
+        core = self.core
+        si, sd, ib = self.si, self.sd, self.ib
+        c = core.counts
+        rows = [
+            (c, _COUNT_FIELDS, si, SI_INSTR),
+            (core.branch_unit.stats, _BRANCH_STAT_FIELDS, si, SI_BU_BR),
+            (core.l1i_prefetcher.stats, _PF_STAT_FIELDS, si, SI_L1IPF_ISS),
+            (core.l1d_prefetcher.stats, _PF_STAT_FIELDS, si, SI_L1DPF_ISS),
+            (core.l2_prefetcher.stats, _PF_STAT_FIELDS, si, SI_L2PF_ISS),
+            (core.vm.stats, _VM_STAT_FIELDS, si, SI_VM_MIN),
+            (core.vm, ("_fault_seq",), si, SI_VM_SEQ),
+        ]
+        for k, cache in enumerate(self.caches):
+            rows.append((cache, ("_rand_state",), si, SI_RAND0 + k))
+        rows += [
+            (c, ("uops",), sd, SD_UOPS),
+            (core, ("_ideal_cycles",), sd, SD_IDEAL),
+            (core.stalls, self.buckets, sd, SD_ST0),
+            (core, ("_next_hook_cycles",), sd, SD_NEXT_HOOK),
+        ]
+        nc, nt = len(_CACHE_STAT_FIELDS), len(_TLB_STAT_FIELDS)
+        for k, cache in enumerate(self.caches):
+            rows.append((cache.stats, _CACHE_STAT_FIELDS, ib, k * nc))
+        for k, tlb in enumerate(self.tlbs):
+            rows.append((tlb.stats, _TLB_STAT_FIELDS, ib, IB_TLB0 + k * nt))
+        rows.append((core.dram.stats, _DRAM_STAT_FIELDS, ib, IB_DRAM))
+        sll = core.shared_llc
+        if sll is not None:
+            rows.append((sll, ("_accesses_this_epoch",), ib, IB_EPOCH))
+            rows.append((sll.slice_accesses, range(sll.n_slices), ib,
+                         IB_EPOCH + 1))
+        return rows
+
+    def push_books(self) -> None:
+        """Python -> image, at a kernel entry.
+
+        Besides the books this reloads what they derive from (hints,
+        hook interval, the shared LLC's contention term) and rehashes
+        the page set if Python changed it since the last return.
+        """
+        vals = []
+        for owner, fields, _, _ in self._books():
+            if isinstance(owner, (dict, list)):
+                vals += [owner[f] for f in fields]
+            else:
+                vals += [getattr(owner, f) for f in fields]
+        pos = 0
+        for arr, idx in self._plan:
+            arr[idx] = vals[pos:pos + len(idx)]
+            pos += len(idx)
+        self._load_params()
+        vm = self.core.vm
+        if (len(vm._mapped), vm._map_epoch) != self._vm_key:
+            self._build_vm_hash()
+
+    def pull_books(self) -> None:
+        """Image -> Python, at a return to Python; drains the
+        retirement counters."""
+        _t0 = time.perf_counter_ns() if obs.enabled() else None
+        vals = []
+        for arr, idx in self._plan:
+            vals += arr[idx].tolist()
+        pos = 0
+        for owner, fields, _, _ in self._books():
+            end = pos + len(fields)
+            if isinstance(owner, (dict, list)):
+                for f, v in zip(fields, vals[pos:end]):
+                    owner[f] = v
+            else:
+                for f, v in zip(fields, vals[pos:end]):
+                    setattr(owner, f, v)
+            pos = end
+        self._drain_retired()
+        if _t0 is not None:
+            obs.observe("native.sync_seconds",
+                        (time.perf_counter_ns() - _t0) * 1e-9)
+
+    def _load_params(self) -> None:
+        """Derive the kernel's constants in the legacy expression shapes.
+
+        The L3 latencies fold in the shared LLC's current contention
+        term (0.0 for a private LLC) with the shapes of ``_fetch`` and
+        ``_op_mem``.  The kernel reads ``extra_latency`` only through
+        these two doubles, and this runs at every entry, so each
+        multicore quantum sees the latency ``update_contention`` set
+        before it — exactly when the legacy per-op ``_llc_extra()``
+        read changes value.
+        """
+        core = self.core
+        m, h, pd = core.machine, core.hints, self.pd
+        width = m.pipeline_width
+        pd[PD_UOP_FACTOR] = h.uop_factor
+        pd[PD_INV_WIDTH] = 1.0 / width
+        pd[PD_WIDTH] = float(width)
+        ilp = min(h.ilp, width)
+        ports_on = ilp < width
+        pd[PD_PORTS_ON] = 1.0 if ports_on else 0.0
+        pd[PD_PORTS_COEFF] = (1.0 / ilp - 1.0 / width) if ports_on else 0.0
+        pd[PD_DIV_FRAC] = h.div_frac
+        pd[PD_DIV_PEN] = core.DIV_PENALTY
+        pd[PD_MICRO_FRAC] = h.microcode_frac
+        pd[PD_MS_PEN] = float(m.ms_switch_penalty)
+        pd[PD_MITE_COEFF] = (1.0 / (m.decode_width * core.MITE_EFFICIENCY)
+                             - 1.0 / width)
+        pd[PD_ITLB_WALK] = m.page_walk_latency * (1 - core.ITLB_OVERLAP)
+        pd[PD_DTLB_WALK] = m.page_walk_latency / h.mlp
+        icache_vis = 1 - core.ICACHE_OVERLAP
+        hidden = (1 - core.DATA_OVERLAP) / h.mlp
+        extra = core._llc_extra()
+        pd[PD_ICACHE_L2] = m.l2.latency * icache_vis
+        pd[PD_ICACHE_L3] = (m.llc.latency + extra) * icache_vis
+        pd[PD_ICACHE_DRAM] = m.dram_latency * icache_vis
+        pd[PD_L1_HIT] = m.l1d.latency * core.L1_VISIBLE
+        pd[PD_BE_L2] = (m.l2.latency - m.l1d.latency) * hidden
+        pd[PD_BE_L3] = (m.llc.latency + extra - m.l2.latency) * hidden
+        pd[PD_BE_DRAM] = (m.dram_latency - m.llc.latency) * hidden
+        # Cycle-hook trampoline: the kernel checks the threshold (a
+        # single `if`, like _op_block) and exits with _STATUS_HOOK.
+        pd[PD_HOOK_INTERVAL] = core.cycle_hook_interval
+        pd[PD_STORE_PEN] = core.STORE_MISS_PENALTY
+        pd[PD_MIS_PEN] = float(m.mispredict_penalty)
+        pd[PD_RESTEER_PEN] = float(m.btb_resteer_penalty)
+        pd[PD_TAKEN_BUBBLE] = core.TAKEN_BRANCH_BUBBLE
+        pd[PD_PF_DRAM] = m.dram_latency * 0.22 / h.mlp
+        pd[PD_MINOR_FAULT] = float(core.vm.MINOR_FAULT_CYCLES)
+        pd[PD_MAJOR_FAULT] = float(core.vm.MAJOR_FAULT_CYCLES)
+
+    def _build_vm_hash(self) -> None:
+        """Hash ``vm._mapped`` into a fresh open-addressed table.
+
+        The kernel pauses for :meth:`_grow_vm` before the table passes
+        half load, so twice the live pages (plus headroom) is the
+        smallest table it accepts without an immediate grow.
+        """
+        vm = self.core.vm
+        stats["vm_hash_builds"] += 1
+        if obs.enabled():
+            obs.add("native.vm_hash_builds", 1.0)
+        n = len(vm._mapped)
+        cap = _next_pow2(2 * (n + 64))
+        self.pi[PI_VM_HMASK] = cap - 1
+        self.vm_hash = np.full(cap, -1, dtype=np.int64)
+        if n:
+            keys = np.fromiter(vm._mapped, dtype=np.int64, count=n)
+            get_lib().repro_vm_build(keys.ctypes.data, n,
+                                     self.vm_hash.ctypes.data, cap - 1)
+        # Scratch: the kernel writes entries before bumping the count,
+        # so the log never needs zero-filling.
+        self.vm_log = np.empty(cap, dtype=np.int64)
+        self.si[SI_VM_CNT] = n
+        self._set_ptr(P_VM_HASH, self.vm_hash)
+        self._set_ptr(P_VM_LOG, self.vm_log)
+        # Length catches additions, the epoch catches removals (the one
+        # mutation length can miss — see VirtualMemory.unmap_range).
+        self._vm_key = (n, vm._map_epoch)
 
     def _grow_vm(self) -> None:
         old = self.vm_hash
@@ -803,168 +968,127 @@ class CoreImage:
         self._set_ptr(P_VM_LOG, self.vm_log)
 
     def _drain_vm_log(self) -> None:
+        """Add the kernel's page inserts to ``vm._mapped``, which then
+        holds exactly what the hash does."""
         n = int(self.si[SI_VM_LOGN])
         if n:
-            self.core.vm._mapped.update(self.vm_log[:n].tolist())
+            vm = self.core.vm
+            vm._mapped.update(self.vm_log[:n].tolist())
             self.si[SI_VM_LOGN] = 0
+            self._vm_key = (len(vm._mapped), vm._map_epoch)
 
-    def refresh_contention(self) -> None:
-        """Re-derive the L3 stall constants from the live contention term.
+    def _drain_retired(self) -> None:
+        """Fold the kernel's retirement counters into the module stats.
 
-        ``SharedLlc.update_contention`` runs in Python between epoch
-        quanta; the kernel reads ``extra_latency`` only through these
-        two doubles, so refreshing them at the epoch boundary gives
-        every access in the next quantum the new latency — exactly when
-        the legacy per-op ``_llc_extra()`` read would change value.
-        The expression shapes match ``_fetch`` and ``_op_mem``.
+        Under the registry lock, and zeroing the slots, so
+        ``ops_retired()`` never counts a span twice or misses it, and a
+        repeated drain is a no-op.
         """
-        core, m = self.core, self.core.machine
-        extra = core._llc_extra()
-        self.pd[PD_ICACHE_L3] = (m.llc.latency + extra) * self._icache_vis
-        self.pd[PD_BE_L3] = (m.llc.latency + extra - m.l2.latency) \
-            * self._hidden
+        with _live_lock:
+            slots = self.si[SI_OPS_RETIRED:SI_N].tolist()
+            if not slots[0]:
+                return
+            stats["ops_retired"] += slots[0]
+            for k, name in enumerate(OP_KIND_NAMES):
+                stats["ops_" + name] += slots[1 + k]
+            self.si[SI_OPS_RETIRED:SI_N] = 0
+        if obs.enabled():
+            obs.add("native.ops_retired", float(slots[0]))
+            for k, name in enumerate(OP_KIND_NAMES):
+                if slots[1 + k]:
+                    obs.add("native.ops_retired." + name,
+                            float(slots[1 + k]))
 
-    def _drain_llc_epoch(self) -> None:
-        """Copy the kernel's epoch counters into the SharedLlc fields."""
-        sll = self.core.shared_llc
-        if sll is not None:
-            ep = self.llc_epoch
-            sll._accesses_this_epoch = int(ep[0])
-            sll.slice_accesses = ep[1:].tolist()
-
-    def sync_scalars(self) -> None:
-        """Publish the cycle-forming scalars without a full writeback.
-
-        Enough for ``core.cycles`` / ``core.counts`` reads between
-        multicore quanta (the round loop's epoch arithmetic); caches,
-        predictors and VM stay in the arrays until the session closes.
-        """
+    def _make_resident(self) -> None:
+        """Swap :class:`Resident` placeholders in for the exported
+        structure, so a Python read can never see a stale copy."""
         core = self.core
-        sd, si = self.sd, self.si
-        core._ideal_cycles = float(sd[SD_IDEAL])
-        for k, b in enumerate(self.buckets):
-            core.stalls[b] = float(sd[SD_ST0 + k])
-        c = core.counts
-        c.instructions = int(si[SI_INSTR])
-        c.kernel_instructions = int(si[SI_KINSTR])
+        for k, cache in enumerate(self.caches):
+            if k == _C_LLC:
+                if isinstance(cache._sets, Resident):
+                    continue          # a core sharing it already did
+                cache._sets = Resident(self.llc_share)
+            else:
+                cache._sets = RESIDENT
+            cache._lines = RESIDENT
+        for tlb in self.tlbs:
+            tlb._sets = tlb._resident = RESIDENT
+        bu = core.branch_unit
+        bu.predictor._table = bu.predictor._history = RESIDENT
+        bu.loop_predictor._table = RESIDENT
+        bu.btb._sets = RESIDENT
+        core.l1i_prefetcher._last_line = RESIDENT
+        core.l1d_prefetcher._last_line = RESIDENT
+        core.l2_prefetcher._streams = RESIDENT
+        core.dram._open_rows = RESIDENT
+        core._last_code_line = core._last_code_page = RESIDENT
+        core._last_data_vpn = core._kernel_mode = RESIDENT
 
     # ------------------------------------------------------------------
     def writeback(self) -> None:
-        """Reconstruct the Python Core state from the mutated arrays."""
+        """Write the structure back into the Python objects and detach.
+
+        Covers every image sharing this one's LLC, since they alias one
+        set of LLC arrays.  Books are left alone: Python holds them
+        whenever the kernel is not running.  A detached image only
+        drains its retirement counters.
+        """
+        share = self.llc_share
+        if self not in share.members:
+            self._drain_retired()
+            return
         _t0 = time.perf_counter_ns() if obs.enabled() else None
+        for img in share.members:
+            img._write_structure()
+        _import_cache(self.caches[_C_LLC], *share.arrays)
+        share.members.clear()
+        if _t0 is not None:
+            obs.observe("native.writeback_seconds",
+                        (time.perf_counter_ns() - _t0) * 1e-9)
+
+    def _write_structure(self) -> None:
+        """This image's private structure back to Python; detach."""
         core = self.core
-        si, sd = self.si, self.sd
-        sil = si.tolist()
-        c = core.counts
-        c.instructions = sil[SI_INSTR]
-        c.kernel_instructions = sil[SI_KINSTR]
-        c.branches = sil[SI_BRANCHES]
-        c.loads = sil[SI_LOADS]
-        c.stores = sil[SI_STORES]
-        c.dtlb_load_walks = sil[SI_DTLB_LWALK]
-        c.dtlb_store_walks = sil[SI_DTLB_SWALK]
-        c.itlb_walks = sil[SI_ITLB_WALK]
-        c.uops = float(sd[SD_UOPS])
-        core._ideal_cycles = float(sd[SD_IDEAL])
-        for k, b in enumerate(self.buckets):
-            core.stalls[b] = float(sd[SD_ST0 + k])
+        sil = self.si.tolist()
         core._last_code_line = sil[SI_LAST_CODE_LINE]
         core._last_code_page = sil[SI_LAST_CODE_PAGE]
         core._last_data_vpn = sil[SI_LAST_DATA_VPN]
         core._kernel_mode = bool(sil[SI_KMODE])
-        core._next_hook_cycles = float(sd[SD_NEXT_HOOK])
-
         for k, cache in enumerate(self.caches):
-            if k == _C_LLC and not self._llc_owner:
-                continue        # the owning image writes the shared LLC
-            _import_cache(cache, *self.cache_arrays[k])
-            cache._rand_state = sil[SI_RAND0 + k]
-        if self._llc_owner:
-            self._drain_llc_epoch()
+            if k != _C_LLC:
+                _import_cache(cache, *self.cache_arrays[k])
         for k, tlb in enumerate(self.tlbs):
             _import_tlb(tlb, *self.tlb_arrays[k])
 
         bu = core.branch_unit
-        bst = bu.stats
-        bst.branches = sil[SI_BU_BR]
-        bst.mispredicts = sil[SI_BU_MIS]
-        bst.btb_misses = sil[SI_BU_BTBM]
-        bst.taken = sil[SI_BU_TK]
         gs = bu.predictor
         gs._history = sil[SI_GS_HIST]
         idx = np.nonzero(self.gs_pres)[0]
-        gs._table = dict(zip(idx.tolist(),
-                             self.gs_val[idx].tolist()))
-        lp = bu.loop_predictor
+        gs._table = dict(zip(idx.tolist(), self.gs_val[idx].tolist()))
         slab = self.lp_slab.tolist()
         table = {}
         for j in self.lp_order[:sil[SI_LP_CNT]].tolist():
             table[slab[4 * j]] = [slab[4 * j + 1], slab[4 * j + 2],
                                   slab[4 * j + 3]]
-        lp._table = table
+        bu.loop_predictor._table = table
         btb = bu.btb
         kl, tl = self.btb_key.tolist(), self.btb_tgt.tolist()
-        for s_i, n in enumerate(self.btb_cnt.tolist()):
-            base = s_i * btb.ways
-            btb._sets[s_i] = [[kl[base + j], tl[base + j]]
-                              for j in range(n)]
+        btb._sets = [[[kl[base + j], tl[base + j]] for j in range(n)]
+                     for base, n in zip(range(0, len(kl), btb.ways),
+                                        self.btb_cnt.tolist())]
 
-        pf_i, pf_d, pf2 = (core.l1i_prefetcher, core.l1d_prefetcher,
-                           core.l2_prefetcher)
-        pf_i.stats.issued = sil[SI_L1IPF_ISS]
-        pf_i.stats.page_bounded = sil[SI_L1IPF_PB]
-        pf_d.stats.issued = sil[SI_L1DPF_ISS]
-        pf_d.stats.page_bounded = sil[SI_L1DPF_PB]
-        pf2.stats.issued = sil[SI_L2PF_ISS]
-        pf2.stats.page_bounded = sil[SI_L2PF_PB]
-        pf_i._last_line = sil[SI_L1IPF_LAST]
-        pf_d._last_line = sil[SI_L1DPF_LAST]
+        core.l1i_prefetcher._last_line = sil[SI_L1IPF_LAST]
+        core.l1d_prefetcher._last_line = sil[SI_L1DPF_LAST]
         n_spf = sil[SI_SPF_CNT]
-        pf2._streams = dict(zip(self.spf_page[:n_spf].tolist(),
-                                self.spf_line[:n_spf].tolist()))
-
-        dram = core.dram
-        rows = self.dram_rows.tolist()
-        dram._open_rows = {b: r for b, r in enumerate(rows) if r != -1}
-        dst = dram.stats
-        (dst.reads, dst.writes, dst.row_hits, dst.row_misses,
-         dst.bytes_read, dst.bytes_written) = self.dram_st.tolist()
-
-        vm = core.vm
-        self._drain_vm_log()
-        vm.stats.minor_faults = sil[SI_VM_MIN]
-        vm.stats.major_faults = sil[SI_VM_MAJ]
-        vm.stats.mapped_pages = sil[SI_VM_MAPPED]
-        vm._fault_seq = sil[SI_VM_SEQ]
-
-        self._drain_retired(sil)
-        if _t0 is not None:
-            obs.observe("native.writeback_seconds",
-                        (time.perf_counter_ns() - _t0) * 1e-9)
-
-    def _drain_retired(self, sil) -> None:
-        """Fold the kernel's retirement counters into the module stats.
-
-        Zeroing the slots keeps a second writeback idempotent (the
-        BAD-status path writes back before raising, then the caller's
-        ``finally`` writes back again), and dropping the image from the
-        live registry keeps ``ops_retired()`` from counting the drained
-        span twice.
-        """
-        retired = sil[SI_OPS_RETIRED]
-        if retired:
-            stats["ops_retired"] += retired
-            for k, name in enumerate(OP_KIND_NAMES):
-                stats["ops_" + name] += sil[SI_OPK0 + k]
-            if obs.enabled():
-                obs.add("native.ops_retired", float(retired))
-                for k, name in enumerate(OP_KIND_NAMES):
-                    if sil[SI_OPK0 + k]:
-                        obs.add("native.ops_retired." + name,
-                                float(sil[SI_OPK0 + k]))
-            self.si[SI_OPS_RETIRED:SI_N] = 0
+        core.l2_prefetcher._streams = dict(zip(
+            self.spf_page[:n_spf].tolist(), self.spf_line[:n_spf].tolist()))
+        core.dram._open_rows = {b: r for b, r in
+                                enumerate(self.dram_rows.tolist())
+                                if r != -1}
+        self._drain_retired()
         with _live_lock:
-            _live_images.pop(id(self), None)
+            _live_images.discard(self)
+        core._image = None
 
     # ------------------------------------------------------------------
     def run_buffer(self, buf, start: int, limit) -> tuple[int, int]:
@@ -973,10 +1097,11 @@ class CoreImage:
         Returns ``(next_pos, status)`` where status is ``_STATUS_DONE``
         (chunk exhausted), ``_STATUS_LIMIT`` (instruction limit reached)
         or ``_STATUS_HOOK`` (the cycle-hook threshold fired: the caller
-        must write state back, run the Python hook against the live
-        core, and re-enter from ``next_pos``).  Event-hook callbacks are
-        replayed from the kernel's event log with the exact cycle stamps
-        the legacy engine would have produced.
+        must sync the books out, run the Python hook against the live
+        core, sync them back in and re-enter from ``next_pos``).
+        Event-hook callbacks are replayed from the kernel's event log
+        with the exact cycle stamps the legacy engine would have
+        produced.
         """
         lib = get_lib()
         kinds, a0, a1, a2, n_ev = _columns(buf)
@@ -1014,7 +1139,6 @@ class CoreImage:
                 pos = next_pos
                 continue
             if status == _STATUS_BAD:
-                self.writeback()
                 raise ValueError(
                     f"unknown op kind {int(kinds[next_pos])!r}")
             return next_pos, status
@@ -1046,40 +1170,60 @@ def _columns(buf):
 # ---------------------------------------------------------------------------
 # Driver.
 
-def _finish_image(img) -> None:
-    """Write an image back and refresh the VM page-hash reuse key.
+def release(core) -> None:
+    """Write native-resident structure back into ``core``'s Python objects.
 
-    After writeback the hash holds exactly ``vm._mapped`` (kernel
-    inserts were drained), so the next export reuses the arrays — which
-    is what keeps hook-trampoline rebuilds cheap on page-heavy
-    workloads.  See CoreImage's vm export.
+    Detaches ``core``'s image, and every image sharing its LLC (they
+    alias one set of LLC arrays), so Python may read or change any
+    structure and the legacy interpreter may run the core.  The next
+    native consume exports again.  A no-op when nothing ``core`` can
+    reach is resident.
     """
+    img = core._image
+    if img is None:
+        home = getattr(core.llc, "_sets", None)
+        if not isinstance(home, Resident):
+            return
+        img = home.home.members[0]
     img.writeback()
-    vm = img.core.vm
-    vm._native_page_hash = ((len(vm._mapped), vm._map_epoch),
-                            img.vm_hash, img.vm_log)
+
+
+def _enter(core) -> CoreImage:
+    """``core``'s resident image with the books pushed in, exported on
+    first use."""
+    img = core._image
+    if img is None:
+        return CoreImage(core)
+    img.push_books()
+    return img
 
 
 def consume_stream_native(core, stream, max_instructions=None) -> int:
     """Vector-engine counterpart of ``Core.consume_stream``.
 
     Callers must have checked :func:`available` and :func:`nativizable`.
-    Returns the number of instructions executed, with all core state
-    (counters, stalls, caches, predictors, VM) bit-identical to what the
-    legacy engine would have produced over the same ops.
+    Returns the number of instructions executed.  The core's image is
+    exported on its first call and stays resident; the books are pushed
+    in at entry and pulled out at every return to Python, so counters,
+    stalls and stats read bit-identical to what the legacy engine would
+    have produced, while the structure stays in the image until
+    :func:`release`.
 
     Armed cycle hooks run through the trampoline: the kernel exits with
-    ``_STATUS_HOOK`` at the block op that crossed the threshold, state
-    is written back, the Python hook runs against the live ``Core``
-    (it may read or mutate anything), and the kernel re-enters with a
-    fresh image — preserving the legacy hook-before-limit ordering.
+    ``_STATUS_HOOK`` at the block op that crossed the threshold, the
+    books are pulled, the Python hook runs against the live ``Core``
+    (it may read and change the books; structure needs
+    :func:`release`, and the core is then exported again), and the
+    books are pushed back before the kernel re-enters — preserving the
+    legacy hook-before-limit ordering.
     """
     counts = core.counts
     start_instr = counts.instructions
     limit = (start_instr + max_instructions
              if max_instructions is not None else None)
     stats["consume_calls"] += 1
-    img = CoreImage(core)
+    img = _enter(core)
+    in_kernel = True            # the image holds the live books
     try:
         while True:
             buf = stream.buffer()
@@ -1095,134 +1239,17 @@ def consume_stream_native(core, stream, max_instructions=None) -> int:
                 stats["hook_exits"] += 1
                 if obs.enabled():
                     obs.add("native.hook_exits", 1.0)
-                _finish_image(img)
-                img = None
+                in_kernel = False
+                img.pull_books()
                 core.cycle_hook(core)
                 if limit is not None and counts.instructions >= limit:
                     break
-                img = CoreImage(core)
+                img = _enter(core)
+                in_kernel = True
                 continue
             if status == _STATUS_LIMIT:
                 break
     finally:
-        if img is not None:
-            _finish_image(img)
+        if in_kernel:
+            img.pull_books()
     return counts.instructions - start_instr
-
-
-# ---------------------------------------------------------------------------
-# Multicore session: persistent images across interleaved quanta.
-
-class NativeMulticoreSession:
-    """Per-core images kept alive across the multicore round loop.
-
-    A fresh export + writeback per 4k-instruction quantum would dominate
-    the run (that cost is amortized over ~50x more instructions on the
-    single-core path).  The session exports each core once per
-    ``MulticoreRunner.run`` call, aliases the shared LLC's arrays (tags,
-    flags, counts, stats, epoch counters) into every image so the
-    kernels see one coherent LLC, and at quantum boundaries syncs only
-    the cycle-forming scalars the round loop reads.  The LLC's eviction
-    RNG state lives in per-image scalar slots, so it is carried from the
-    core that last ran to the next one.
-
-    ``SharedLlc.update_contention`` stays in Python, unchanged: call
-    :meth:`sync_epoch` just before it (publishes + zeroes the epoch
-    counters) and :meth:`refresh_contention` right after (re-derives the
-    L3 stall constants in every image).
-
-    A cycle hook mid-quantum tears the whole session down (full
-    writeback of every core), runs the hook against the live cores, and
-    rebuilds — hooks fire every few million cycles, so the rebuild cost
-    is noise while correctness is unconditional.
-    """
-
-    def __init__(self, cores) -> None:
-        self.cores = list(cores)
-        self.llc = self.cores[0].shared_llc
-        self.images = None
-        stats["sessions"] += 1
-        self._build()
-
-    def _build(self) -> None:
-        primary = CoreImage(self.cores[0])
-        self.images = [primary]
-        for core in self.cores[1:]:
-            self.images.append(CoreImage(core, shared_llc_image=primary))
-        self._llc_rand = self.llc.cache._rand_state
-
-    def _teardown(self) -> None:
-        owner = self.images[0]
-        owner.si[SI_RAND0 + _C_LLC] = self._llc_rand
-        for img in self.images:
-            _finish_image(img)
-        self.images = None
-
-    def close(self) -> None:
-        if self.images is not None:
-            self._teardown()
-
-    def sync_epoch(self) -> None:
-        """Publish epoch counters to the SharedLlc and restart the epoch.
-
-        Call immediately before ``SharedLlc.update_contention`` — which
-        consumes and zeroes the Python fields, while the array restarts
-        from zero for the next epoch's kernel increments.
-        """
-        owner = self.images[0]
-        owner._drain_llc_epoch()
-        owner.llc_epoch[:] = 0
-
-    def refresh_contention(self) -> None:
-        """Re-derive every image's L3 constants after update_contention."""
-        for img in self.images:
-            img.refresh_contention()
-
-    def consume(self, core_index: int, stream, max_instructions: int) -> int:
-        """Quantum-interleaved counterpart of ``consume_stream_native``."""
-        core = self.cores[core_index]
-        img = self.images[core_index]
-        start_instr = int(img.si[SI_INSTR])
-        limit = start_instr + max_instructions
-        img.si[SI_RAND0 + _C_LLC] = self._llc_rand
-        stats["consume_calls"] += 1
-        while True:
-            buf = stream.buffer()
-            if buf is None:
-                break
-            next_pos, status = img.run_buffer(buf, stream.pos, limit)
-            stream.pos = next_pos
-            if status == _STATUS_HOOK:
-                stats["hook_exits"] += 1
-                if obs.enabled():
-                    obs.add("native.hook_exits", 1.0)
-                self._llc_rand = int(img.si[SI_RAND0 + _C_LLC])
-                self._teardown()
-                core.cycle_hook(core)
-                self._build()
-                img = self.images[core_index]
-                img.si[SI_RAND0 + _C_LLC] = self._llc_rand
-                if core.counts.instructions >= limit:
-                    break
-                continue
-            if status == _STATUS_LIMIT:
-                break
-        self._llc_rand = int(img.si[SI_RAND0 + _C_LLC])
-        img.sync_scalars()
-        return int(img.si[SI_INSTR]) - start_instr
-
-
-def multicore_session(cores):
-    """A :class:`NativeMulticoreSession` when every core qualifies for
-    it, else ``None`` (callers then consume per quantum through
-    ``Core.consume_stream``, which counts the delegation)."""
-    if not available() or not cores:
-        return None
-    llc = cores[0].shared_llc
-    if llc is None:
-        return None
-    if not all(c.shared_llc is llc for c in cores):
-        return None
-    if not all(nativizable(c) for c in cores):
-        return None
-    return NativeMulticoreSession(cores)

@@ -134,6 +134,11 @@ class Core:
     TAKEN_BRANCH_BUBBLE = 0.45     # packet-break cycles per taken branch
     MITE_EFFICIENCY = 0.70
 
+    #: The native kernel image this core is resident in, if any (see
+    #: :mod:`repro.uarch.native`): set by its first vector consume,
+    #: cleared by :func:`repro.uarch.native.release`.
+    _image = None
+
     def __init__(self, machine: MachineConfig, vm: VirtualMemory,
                  shared_llc=None, core_id: int = 0) -> None:
         self.machine = machine
@@ -201,6 +206,15 @@ class Core:
         self.hints = hints
 
     def set_cycle_hook(self, hook, interval_cycles: float) -> None:
+        """Call ``hook(core)`` every ``interval_cycles`` simulated cycles.
+
+        The hook runs at the block op that crosses the threshold, on
+        either engine.  On the vector engine it sees the core's books
+        (counts, stalls, cycles, every ``.stats``) current and may
+        change them; structure (cache sets, predictor tables, ...) is
+        resident in the native image, so a hook that reads it calls
+        :func:`repro.uarch.native.release` first.
+        """
         self.cycle_hook = hook
         self.cycle_hook_interval = interval_cycles
         self._next_hook_cycles = self.cycles + interval_cycles
@@ -491,10 +505,18 @@ class Core:
         op-at-a-time reference interpreter, which handles the full
         model; delegation is counted and warned about once per process
         (:func:`repro.uarch.native.delegation_reason`).  Both engines
-        are bit-identical, so the choice is purely a throughput knob.
+        are bit-identical, so the choice is purely a throughput knob,
+        and it may change from one call to the next.
+
+        After a vector call the core's books (counts, stalls, cycles,
+        every ``.stats``) are current in Python; its structure (cache
+        and TLB sets, predictor tables, prefetch streams, DRAM rows)
+        stays resident in the native image for the next call, and
+        reading it first needs :func:`repro.uarch.native.release`.  The
+        legacy interpreter does that itself.
         """
+        from repro.uarch import native
         if engine == "vector":
-            from repro.uarch import native
             reason = native.delegation_reason(self)
             if reason is None:
                 return native.consume_stream_native(self, stream,
@@ -502,6 +524,7 @@ class Core:
             native.note_delegation(reason)
         elif engine != "legacy":
             raise ValueError(f"unknown engine {engine!r}")
+        native.release(self)
         counts = self.counts
         start = counts.instructions
         limit = (start + max_instructions

@@ -68,7 +68,12 @@ def _build(spec, machine, seed=0, **kw):
 
 
 def _state(core) -> dict:
-    """Every observable piece of core state, keyed for diffability."""
+    """Every observable piece of core state, keyed for diffability.
+
+    Writes a vector core's resident structure back first (a no-op for
+    legacy cores): the structure is what this compares.
+    """
+    native.release(core)
     d = {}
     c = core.counts
     for f in ("instructions", "kernel_instructions", "branches", "loads",

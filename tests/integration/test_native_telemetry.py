@@ -7,14 +7,16 @@ the telemetry is *exact*, not approximate:
 * per-kind retirement totals equal an independent tally of the op list
   AND the Python-side ``Core.counts`` the kernel maintains separately,
 * the equivalence matrix holds across suites, legacy vs vector, the
-  sampler trampoline, and the multicore session,
+  sampler trampoline, and resident multicore images,
 * ``native.ops_retired()`` reads live kernel-owned slots mid-run and
-  never double-counts across writeback (drain is idempotent),
-* with obs enabled, the counters and export/run/writeback phase
+  never double-counts across drains (each book sync drains, and a
+  repeated drain is a no-op),
+* with obs enabled, the counters and export/run/book-sync phase
   timings land in the metrics registry, matching ``native.stats``
   deltas bit-for-bit,
 * a kernel that fails to build never degrades a default run silently:
-  the error is kept, delegations are counted and a warning fires once.
+  the error is kept, delegations are counted and a warning fires once,
+  and under ``REPRO_NATIVE=require`` delegation is an error.
 """
 
 from __future__ import annotations
@@ -108,7 +110,7 @@ def test_suite_counters_match_core_stats(name):
 
 @needs_native
 def test_sampler_trampoline_keeps_counters_exact():
-    """Hook exits re-enter with fresh images; drained totals must still
+    """Hook exits drain at every book sync; drained totals must still
     sum exactly (no op lost or double-counted across the trampoline)."""
     from repro.harness.runner import Fidelity, run_workload
 
@@ -127,8 +129,9 @@ def test_sampler_trampoline_keeps_counters_exact():
 
 @needs_native
 def test_multicore_session_counters_consistent():
-    """Persistent multicore images drain on teardown; totals must be
-    internally consistent and the engines bit-identical."""
+    """Resident multicore images drain at every quantum's book sync;
+    totals must be internally consistent and the engines
+    bit-identical."""
     from repro.harness.runner import Fidelity, run_multicore
 
     machine = get_machine("i9")
@@ -137,7 +140,7 @@ def test_multicore_session_counters_consistent():
     a = run_multicore(_spec_of("Plaintext"), machine, 2, fid,
                       engine="vector")
     delta = _delta(before)
-    assert delta["sessions"] >= 2
+    assert delta["exports"] == 2         # one per core, both phases
     assert delta["ops_retired"] == sum(_ops_delta(delta).values())
     assert delta["ops_load"] > 0 and delta["ops_branch"] > 0
     b = run_multicore(_spec_of("Plaintext"), machine, 2, fid,
@@ -148,8 +151,9 @@ def test_multicore_session_counters_consistent():
 
 @needs_native
 def test_ops_retired_reads_live_slots_and_drains_once():
-    """ops_retired() folds live kernel slots in mid-run; writeback
-    drains them into stats exactly once (idempotent on re-writeback)."""
+    """ops_retired() folds live kernel slots in mid-run; a drain (here
+    writeback's) moves them into stats exactly once (idempotent on a
+    second writeback)."""
     core = Core(get_machine("i9"), VirtualMemory())
     base = native.ops_retired()
     img = native.CoreImage(core)
@@ -198,15 +202,15 @@ def test_phase_timings_and_counters_land_in_registry(tmp_path):
             delta["ops_" + name]
     hists = snap["histograms"]
     for h in ("native.export_seconds", "native.run_seconds",
-              "native.writeback_seconds"):
+              "native.sync_seconds"):
         assert hists[h]["count"] > 0
     assert hists["native.run_seconds"]["count"] == delta["kernel_calls"]
 
 
 @needs_native
 def test_vm_hash_build_counter(tmp_path):
-    """A cold export builds the page hash (counted); the refreshed key
-    after a run makes the next export reuse it (not counted)."""
+    """A cold export builds the page hash (counted); the resident image
+    keeps it across consume calls (not counted)."""
     core, prog, _ = _build(_spec_of("System.Runtime"), get_machine("i9"))
     before = dict(native.stats)
     stream = TraceBufferStream(filler=prog.fill_buffer,
@@ -284,3 +288,52 @@ def test_unmodelled_core_delegation_is_counted():
     stream = TraceBufferStream(ops=iter(_ops(300, seed=41)))
     core.consume_stream(stream, engine="vector")
     assert native.delegations[reason] == before + 1
+
+
+def _break_kernel(monkeypatch):
+    def broken_build():
+        raise RuntimeError("no C compiler built the kernel (cc: exit 1)")
+
+    monkeypatch.setattr(native, "_compile_lib", broken_build)
+    monkeypatch.setattr(native, "_lib", None)
+    monkeypatch.setattr(native, "_lib_resolved", False)
+    monkeypatch.setattr(native, "_lib_error", None)
+
+
+def test_require_fails_a_run_without_kernel(monkeypatch):
+    """``REPRO_NATIVE=require``: a kernel that fails to build makes a
+    default run raise, naming the reason and ``native.last_error()``,
+    instead of passing as an 11-35x slower interpreter run."""
+    from repro.harness.runner import Fidelity, run_workload
+
+    monkeypatch.delenv("REPRO_ENGINE", raising=False)
+    _break_kernel(monkeypatch)
+    monkeypatch.setenv("REPRO_NATIVE", "require")
+    before = native.delegations["unavailable"]
+    with pytest.raises(native.DelegationError) as err:
+        run_workload(_spec_of("System.Runtime"), get_machine("i9"),
+                     Fidelity.test())
+    assert "unavailable" in str(err.value)
+    assert native.last_error() in str(err.value)
+    assert "no C compiler built the kernel" in native.last_error()
+    assert native.delegations["unavailable"] == before + 1
+
+
+def test_require_rejects_unmodelled_core(monkeypatch):
+    """``REPRO_NATIVE=require`` with a core the kernel does not model:
+    ``engine="vector"`` raises; asking for ``legacy`` is no delegation
+    and still runs."""
+    from dataclasses import replace
+
+    monkeypatch.setenv("REPRO_NATIVE", "require")
+    machine = replace(get_machine("i9"), jit_code_prefetch=True)
+    core = Core(machine, VirtualMemory())
+    reason = native.delegation_reason(core)
+    with pytest.raises(native.DelegationError) as err:
+        core.consume_stream(TraceBufferStream(ops=iter(_ops(300, seed=41))),
+                            engine="vector")
+    assert reason in str(err.value)
+    assert repr(native.last_error()) in str(err.value)
+    assert core.consume_stream(
+        TraceBufferStream(ops=iter(_ops(300, seed=41))),
+        engine="legacy") > 0

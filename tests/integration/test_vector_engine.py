@@ -10,7 +10,10 @@ seams that real streams rarely stress deterministically:
 * the ``REPRO_NATIVE=0`` kill switch and the delegation guard
   (:func:`repro.uarch.native.nativizable`),
 * virtual-memory hash growth mid-run (first-touch floods),
-* non-default replacement policies (FIFO, RANDOM's deterministic LCG).
+* non-default replacement policies (FIFO, RANDOM's deterministic LCG),
+* the resident-image lifecycle: one export per run, engine switches
+  mid-run, Python-side page mapping between consumes, stale-structure
+  guards and freeing a discarded core's image.
 
 Every test drives the same op list through the legacy interpreter
 (whole list in one chunk) and ``consume_stream(engine="vector")``
@@ -253,7 +256,9 @@ def test_shared_llc_and_sampler_take_native_path():
     run_multicore(_spec_of("Plaintext"), get_machine("i9"), 2, fid,
                   engine="vector", sampling=True, sample_interval=1e-6)
     delta = {k: native.stats[k] - before[k] for k in before}
-    assert delta["sessions"] == 2        # warmup + measure round loops
+    # One export per core: the images stay resident across quanta, the
+    # warmup -> measure boundary and every hook exit.
+    assert delta["exports"] == 2
     assert delta["kernel_calls"] > 0
     assert delta["hook_exits"] > 0       # sampler ran via the trampoline
 
@@ -286,12 +291,22 @@ def _observing_hook(log):
 
 
 def _mutating_hook(log):
-    """A hook that perturbs live core state: the trampoline must write
-    native state back before it runs and re-export after."""
+    """A hook that perturbs live core state: the trampoline must sync
+    the books out before it runs and back in after."""
     def hook(core):
         log.append((core.cycles, core.counts.instructions))
         core._ideal_cycles += 3.0            # shifts later hook timing
         core.counts.uops += 2.0
+    return hook
+
+
+def _releasing_hook(log):
+    """A hook that reads structure: it releases the image first, so the
+    trampoline must export again before it re-enters the kernel."""
+    def hook(core):
+        native.release(core)
+        log.append((core.cycles, core.l1d.occupancy,
+                    len(core.branch_unit.predictor._table)))
     return hook
 
 
@@ -324,6 +339,17 @@ def test_hook_mutates_core_state_mid_run():
     fired, exits = _hook_case(_ops(1500, seed=22), 600.0, _mutating_hook)
     assert fired > 3
     assert exits == fired
+
+
+@needs_native
+def test_hook_reading_structure_releases_and_reexports():
+    """A hook may read structure after ``native.release``: the driver
+    exports the core again before re-entering, once per firing."""
+    before = native.stats["exports"]
+    fired, exits = _hook_case(_ops(1200, seed=25), 500.0, _releasing_hook)
+    assert fired > 3
+    assert exits == fired
+    assert native.stats["exports"] - before == fired + 1
 
 
 @needs_native
@@ -367,3 +393,177 @@ def test_hook_parity_with_native_disabled(monkeypatch, case):
         assert exits == 0                  # kernel never entered
     finally:
         native._lib, native._lib_resolved = saved
+
+
+# ---------------------------------------------------------------------------
+# Resident-image lifecycle: a core is exported once and keeps its image
+# across consume calls; only the books are synced at each return to
+# Python, and structure goes back on ``native.release``.
+
+@needs_native
+def test_sampled_run_exports_once_and_never_writes_back(monkeypatch):
+    """A sampled ``run_workload`` keeps one image from warmup through
+    ``reset_stats`` and every hook exit to the end: one export, no
+    structure writeback."""
+    from repro.harness.runner import Fidelity, run_workload
+    from test_batched_equivalence import _spec_of
+
+    writebacks = []
+    monkeypatch.setattr(native.CoreImage, "writeback",
+                        lambda self: writebacks.append(self))
+    before = dict(native.stats)
+    run_workload(_spec_of("System.Runtime"), get_machine("i9"),
+                 Fidelity.test(), engine="vector", sampling=True,
+                 sample_interval=1e-6)
+    delta = {k: native.stats[k] - before[k] for k in before}
+    assert delta["hook_exits"] > 0
+    assert delta["exports"] == 1
+    assert writebacks == []
+
+
+def _switched_run(ops, engines, split=1500):
+    """Warm up on ``engines[0]``, reset, measure on ``engines[1]``."""
+    core = Core(get_machine("i9"), VirtualMemory())
+    events = []
+    core.event_hook = lambda k, p, c: events.append((k, p, c))
+    stream = TraceBufferStream(ops=iter(ops), chunk_instructions=4096)
+    consumed = [core.consume_stream(stream, max_instructions=split,
+                                    engine=engines[0])]
+    core.reset_stats()
+    consumed.append(core.consume_stream(stream, engine=engines[1]))
+    return consumed, _state(core), events
+
+
+@needs_native
+@pytest.mark.parametrize("engines", [("vector", "legacy"),
+                                     ("legacy", "vector")],
+                         ids=["vector-then-legacy", "legacy-then-vector"])
+def test_engine_switch_mid_run_matches_legacy(engines):
+    """Switching engines on one core between warmup and measure is
+    invisible: the legacy interpreter releases the resident image
+    before it runs, and a vector call exports what legacy left."""
+    ops = _ops(3000, seed=51)
+    ref = _switched_run(ops, ("legacy", "legacy"))
+    got = _switched_run(ops, engines)
+    assert got[0] == ref[0]
+    diffs = {k: (ref[1][k], got[1][k]) for k in ref[1]
+             if ref[1][k] != got[1][k]}
+    assert not diffs, f"state diverged: {dict(list(diffs.items())[:4])}"
+    assert got[2] == ref[2]
+
+
+@needs_native
+def test_premap_between_vector_consumes_matches_legacy():
+    """Pages mapped from Python between two vector consumes reach the
+    resident image: it rehashes its page set on the next entry (once),
+    and the second consume takes no faults on them, as on legacy."""
+    ops = []
+    for region in (0x7000_0000, 0x7100_0000):
+        for i in range(300):
+            ops.append((OP_LOAD, region + i * 4096))
+            ops.append((OP_BLOCK, 0x0010_0000 + (i % 64) * 64, 3, 48,
+                        False))
+    results = []
+    for engine in ("legacy", "vector"):
+        core = Core(get_machine("i9"), VirtualMemory())
+        stream = TraceBufferStream(ops=iter(ops), chunk_instructions=512)
+        first = core.consume_stream(stream, max_instructions=1200,
+                                    engine=engine)
+        core.vm.premap_range(0x7100_0000, 300 * 4096)
+        builds = native.stats["vm_hash_builds"]
+        second = core.consume_stream(stream, engine=engine)
+        rebuilt = native.stats["vm_hash_builds"] - builds
+        vm = core.vm
+        results.append(((first, second), _state(core), vm.stats,
+                        sorted(vm._mapped), rebuilt))
+    (ca, sa, va, ma, _), (cb, sb, vb, mb, rebuilt) = results
+    assert ca == cb == (1200, 1200)
+    diffs = {k: (sa[k], sb[k]) for k in sa if sa[k] != sb[k]}
+    assert not diffs, f"state diverged: {dict(list(diffs.items())[:4])}"
+    assert va == vb and ma == mb
+    assert va.minor_faults + va.major_faults < 400   # B was premapped
+    assert rebuilt == 1
+
+
+_STRUCTURE_READS = {
+    "cache occupancy": lambda core: core.l1d.occupancy,
+    "cache contains": lambda core: core.l2.contains(0x2000_0000),
+    "llc sets": lambda core: core.llc._sets[0],
+    "tlb sets": lambda core: len(core.dtlb.l1._sets),
+    "gshare table": lambda core: core.branch_unit.predictor._table.items(),
+    "loop table": lambda core: list(core.branch_unit.loop_predictor._table),
+    "btb sets": lambda core: core.branch_unit.btb._sets[0],
+    "prefetch streams": lambda core: dict(core.l2_prefetcher._streams),
+    "dram rows": lambda core: core.dram._open_rows.get(0),
+    "last code line": lambda core: core._last_code_line == 0,
+    "kernel mode": lambda core: bool(core._kernel_mode),
+}
+
+
+@needs_native
+@pytest.mark.parametrize("read", list(_STRUCTURE_READS),
+                         ids=list(_STRUCTURE_READS))
+def test_structure_read_on_resident_core_raises(read):
+    """Reading structure without ``native.release`` raises instead of
+    returning the stale Python copy; the books stay readable, and after
+    the release the structure equals legacy's."""
+    ops = _ops(2000, seed=53)
+    core = Core(get_machine("i9"), VirtualMemory())
+    stream = TraceBufferStream(ops=iter(ops), chunk_instructions=4096)
+    core.consume_stream(stream, max_instructions=2500, engine="vector")
+    assert core._image is not None
+    with pytest.raises(native.StaleStructureError):
+        _STRUCTURE_READS[read](core)
+    assert core.counts.instructions >= 2500        # books are current
+    native.release(core)
+    assert core._image is None
+
+    ref = Core(get_machine("i9"), VirtualMemory())
+    ref.consume_stream(TraceBufferStream(ops=iter(ops)),
+                       max_instructions=2500, engine="legacy")
+    assert _STRUCTURE_READS[read](core) == _STRUCTURE_READS[read](ref)
+    assert _state(core) == _state(ref)
+
+
+@needs_native
+def test_legacy_core_releases_a_shared_llc_resident_elsewhere():
+    """A legacy consume on a core whose shared LLC is resident in
+    another core's image writes that image back first: the LLC is one
+    structure, whichever engine touches it."""
+    from repro.uarch.multicore import SharedLlc
+
+    def run(engine0):
+        machine = get_machine("i9")
+        llc = SharedLlc(machine)
+        cores = [Core(machine, VirtualMemory(), shared_llc=llc, core_id=i)
+                 for i in range(2)]
+        streams = [TraceBufferStream(ops=iter(_ops(1500, seed=55 + i)),
+                                     chunk_instructions=4096)
+                   for i in range(2)]
+        cores[0].consume_stream(streams[0], 1000, engine=engine0)
+        cores[1].consume_stream(streams[1], 1000, engine="legacy")
+        assert cores[0]._image is None
+        cores[0].consume_stream(streams[0], engine=engine0)
+        return [_state(c) for c in cores], llc.cache._rand_state
+
+    assert run("vector") == run("legacy")
+
+
+@needs_native
+def test_discarded_core_frees_its_image():
+    """The live-image registry holds images weakly: a discarded core's
+    image is freed by the collector, and ``ops_retired()`` stays exact
+    because every book sync drained its retirement slots."""
+    import gc
+    import weakref
+
+    ops = _ops(1000, seed=57)
+    base = native.ops_retired()
+    core = Core(get_machine("i9"), VirtualMemory())
+    core.consume_stream(TraceBufferStream(ops=iter(ops)), engine="vector")
+    image = weakref.ref(core._image)
+    assert native.ops_retired() == base + len(ops)
+    del core
+    gc.collect()
+    assert image() is None
+    assert native.ops_retired() == base + len(ops)
