@@ -17,11 +17,18 @@
   backoff, graceful interruption, and a serial in-process fallback;
 * :mod:`repro.exec.campaign` — the campaign failure model:
   :class:`WorkloadFailure` records, the transient/permanent error
-  taxonomy, the append-only :class:`CampaignManifest` journal behind
+  taxonomy and the ``on_error`` retry budget (:func:`retry_budget`),
+  the append-only :class:`CampaignManifest` journal behind
   ``--resume``, and :func:`graceful_shutdown` signal handling;
-* :mod:`repro.exec.chaos` — deterministic fault injection (worker
-  crashes, hangs, flaky ``OSError``\\ s, corrupted/truncated store
-  writes) that the chaos tests use to prove every recovery path;
+* :mod:`repro.exec.resilience` — the one retry schedule
+  (:class:`RetryPolicy` / :func:`retry_call`) every retry site uses,
+  :class:`CircuitBreaker`, and the typed :class:`BackendUnavailable`;
+* :mod:`repro.exec.chaos` — deterministic fault injection, one
+  injector per seam: :class:`~repro.exec.chaos.ChaosExecutor` (worker
+  crashes, hangs, flaky ``OSError``\\ s) and
+  :class:`~repro.exec.chaos.ChaosBackend` (``EIO``, ``ENOSPC``,
+  ``ESTALE``, latency, torn and corrupt writes), which the chaos tests
+  use to prove every recovery path;
 * :mod:`repro.exec.progress` — :class:`ProgressReporter`, throughput /
   ETA / per-worker accounting behind the existing ``(i, total, name)``
   progress-callback shape, with work-based ETA and busy/idle straggler
@@ -41,11 +48,13 @@ from repro.exec.backend import (LocalDirBackend, SharedDirBackend,
                                 StoreBackend, backend_for)
 from repro.exec.campaign import (CampaignInterrupted, CampaignManifest,
                                  WorkloadFailure, classify_error,
-                                 graceful_shutdown)
+                                 graceful_shutdown, retry_budget)
 from repro.exec.costmodel import CostModel, cost_key, lpt_order
 from repro.exec.jobs import JobSpec, code_fingerprint, execute_job
 from repro.exec.pool import JobFailure, JobTimeout, WorkerCrash, run_jobs
 from repro.exec.progress import ProgressReporter
+from repro.exec.resilience import (BackendUnavailable, CircuitBreaker,
+                                   RetryPolicy, retry_call)
 from repro.exec.store import (ResultStore, StoreCorruption, StoreStats)
 from repro.exec.warm import WarmCache
 
@@ -53,7 +62,8 @@ __all__ = [
     "JobSpec", "code_fingerprint", "execute_job",
     "JobFailure", "JobTimeout", "WorkerCrash", "run_jobs",
     "CampaignInterrupted", "CampaignManifest", "WorkloadFailure",
-    "classify_error", "graceful_shutdown",
+    "classify_error", "graceful_shutdown", "retry_budget",
+    "RetryPolicy", "retry_call", "CircuitBreaker", "BackendUnavailable",
     "ProgressReporter",
     "CostModel", "cost_key", "lpt_order",
     "WarmCache",

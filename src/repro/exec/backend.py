@@ -20,8 +20,8 @@ Two implementations cover the deployment shapes the fabric needs:
   the parent directory so the rename itself is durable and visible
   under close-to-open consistency, and reads ride out the transient
   ``ESTALE`` races a concurrent cross-host rename can expose with a
-  *bounded* exponential-backoff retry loop: when the staleness
-  persists past a hard deadline the read surfaces as a typed
+  *bounded* exponential backoff (:data:`STALE_READ_POLICY`): when the
+  staleness persists past a hard deadline the read surfaces as a typed
   :class:`~repro.exec.resilience.BackendUnavailable` instead of
   spinning, and the caller's quarantine-or-recompute path takes over.
 
@@ -49,10 +49,9 @@ import contextlib
 import errno
 import os
 import tempfile
-import time
 from pathlib import Path
 
-from repro.exec.resilience import BackendUnavailable
+from repro.exec.resilience import RetryPolicy, retry_call
 
 try:
     import fcntl
@@ -161,6 +160,16 @@ class LocalDirBackend(StoreBackend):
         os.replace(tmp, dst)
 
 
+#: ``ESTALE`` reads on a ``shared:`` backend: 5 retries from 0.02 s,
+#: each sleep capped at 0.5 s, all inside 2 s
+STALE_READ_POLICY = RetryPolicy(retries=5, backoff=0.02, max_backoff=0.5,
+                                deadline=2.0)
+
+
+class _StaleRead(OSError):
+    """``ESTALE``, singled out so only it is retried."""
+
+
 def _fsync_dir(path: Path) -> None:
     """Best-effort fsync of a directory (durability of the rename)."""
     try:
@@ -185,25 +194,16 @@ class SharedDirBackend(StoreBackend):
       under NFS close-to-open consistency — visible to the next opener
       on any host;
     * :meth:`read_bytes` retries ``ESTALE`` (a concurrent cross-host
-      rename invalidated the file handle mid-read) with exponential
-      backoff, bounded by both a retry budget and a hard wall-clock
-      deadline; staleness that persists past the deadline raises
-      :class:`~repro.exec.resilience.BackendUnavailable` — still an
-      ``OSError``, so store reads degrade to misses, but typed so a
-      worker's circuit breaker can tell an unreachable mount from one
-      missing file.
+      rename invalidated the file handle mid-read) per
+      :data:`STALE_READ_POLICY`, bounded by both a retry budget and a
+      hard wall-clock deadline; staleness that persists past them
+      raises :class:`~repro.exec.resilience.BackendUnavailable` —
+      still an ``OSError``, so store reads degrade to misses, but typed
+      so a worker's circuit breaker can tell an unreachable mount from
+      one missing file.
     """
 
     scheme = "shared"
-
-    def __init__(self, root: str | os.PathLike, *,
-                 stale_retries: int = 5,
-                 stale_backoff: float = 0.02,
-                 stale_deadline: float = 2.0):
-        super().__init__(root)
-        self.stale_retries = stale_retries
-        self.stale_backoff = stale_backoff
-        self.stale_deadline = stale_deadline
 
     def publish(self, tmp: Path, dst: Path) -> None:
         os.replace(tmp, dst)
@@ -214,24 +214,16 @@ class SharedDirBackend(StoreBackend):
         _fsync_dir(dst.parent)
 
     def read_bytes(self, path: str | os.PathLike) -> bytes:
-        estale = getattr(errno, "ESTALE", None)
-        deadline = time.monotonic() + self.stale_deadline
-        delay = self.stale_backoff
-        attempt = 0
-        while True:
+        def attempt() -> bytes:
             try:
                 return Path(path).read_bytes()
             except OSError as exc:
-                if exc.errno != estale:
-                    raise
-                attempt += 1
-                if attempt > self.stale_retries \
-                        or time.monotonic() + delay > deadline:
-                    raise BackendUnavailable(
-                        f"stale read of {path} persisted through "
-                        f"{attempt} attempt(s)") from exc
-                time.sleep(delay)
-                delay = min(delay * 2.0, 0.5)
+                if exc.errno == getattr(errno, "ESTALE", None):
+                    raise _StaleRead(*exc.args) from exc
+                raise
+
+        return retry_call(attempt, policy=STALE_READ_POLICY,
+                          retry_on=(_StaleRead,))
 
 
 def backend_for(spec: str | os.PathLike | StoreBackend) -> StoreBackend:

@@ -15,8 +15,9 @@ Error taxonomy
     (worker crash, timeout, ``OSError`` — infrastructure weather,
     worth retrying) and **permanent** (deterministic model errors such
     as ``OutOfManagedMemory`` — retrying reproduces them).  The pool
-    retries transient failures with backoff; permanent ones become
-    :class:`WorkloadFailure` records immediately.
+    retries transient failures within the budget
+    :func:`retry_budget` resolves from the ``on_error`` policy;
+    permanent ones become :class:`WorkloadFailure` records immediately.
 
 Failure records
     :class:`WorkloadFailure` is the structured, JSON-serializable
@@ -67,6 +68,21 @@ PERMANENT = "permanent"
 
 #: infrastructure weather: retrying is worthwhile
 TRANSIENT_ERRORS = (WorkerCrash, JobTimeout, OSError)
+
+
+def retry_budget(on_error: str, max_retries: int | None) -> int:
+    """Validate an ``on_error`` policy and resolve its retry budget.
+
+    ``"raise"`` aborts on the first failure, ``"skip"`` degrades it to a
+    :class:`WorkloadFailure` record, ``"retry"`` does too but after
+    more transient retries: ``max_retries`` defaults to 3 there and to
+    1 otherwise.
+    """
+    if on_error not in ("raise", "skip", "retry"):
+        raise ValueError(f"unknown on_error policy {on_error!r}")
+    if max_retries is None:
+        max_retries = 3 if on_error == "retry" else 1
+    return max_retries
 
 
 def classify_error(error: BaseException | type) -> str:

@@ -2,7 +2,7 @@
 
 Robustness guarantees rot unless something exercises them on every PR.
 This module injects the campaign failure modes — worker crashes, hangs,
-transient exceptions, corrupted and truncated store entries — under
+transient exceptions, damaged store entries, failing storage — under
 test control, with two properties the chaos tests depend on:
 
 * **seed-driven determinism** — every fault decision is a pure function
@@ -16,16 +16,15 @@ test control, with two properties the chaos tests depend on:
 
 :class:`ChaosExecutor` wraps the pool's job runner (install it with
 :func:`injected`; the pool resolves ``_execute`` at call time, so under
-``fork`` workers inherit the patched value).  :class:`ChaosStore`
-sabotages a deterministic fraction of result-store writes with bit
-flips or partial writes — exactly the damage a killed writer or bad
-disk inflicts — which the store's CRC framing must then catch.
+``fork`` workers inherit the patched value).
 
 :class:`ChaosBackend` extends the same discipline to the
-:class:`~repro.exec.backend.StoreBackend` seam the whole fleet now
-rides: every read, publish, and hardlink can be made to fail with
-``EIO``, ``ENOSPC``, a latency spike, a torn (truncated) write that
-*reports success*, or a stale NFS read — deterministically per
+:class:`~repro.exec.backend.StoreBackend` seam every store rides: every
+read, publish, and hardlink can be made to fail with ``EIO``,
+``ENOSPC``, a latency spike, a stale NFS read, or damage that *reports
+success* — a torn (truncated) write, which the store's length check
+must catch, or a flipped byte, which its CRC must catch — exactly what
+a killed writer or a bad disk inflicts.  Decisions are deterministic per
 ``(seed, kind, target, attempt)``, so a retry rolls a fresh decision
 and transient weather is distinguishable from a dead mount.  Activate
 it in subprocesses via the ``REPRO_CHAOS_BACKEND`` environment
@@ -47,7 +46,6 @@ import repro.exec.pool as pool_mod
 from repro import obs
 from repro.exec.backend import StoreBackend, backend_for
 from repro.exec.jobs import execute_job
-from repro.exec.store import ResultStore
 
 
 @dataclass(frozen=True)
@@ -63,10 +61,6 @@ class ChaosConfig:
     #: sleep ``hang_seconds`` so the pool's timeout must kill the worker
     hang_rate: float = 0.0
     hang_seconds: float = 30.0
-    #: flip a byte in the middle of a just-written store entry
-    corrupt_rate: float = 0.0
-    #: truncate a just-written store entry (partial-write model)
-    truncate_rate: float = 0.0
     #: fire each fault once per target (needs ``state_dir``); False =
     #: the target is doomed on every attempt
     once: bool = True
@@ -172,36 +166,6 @@ def injected(config_or_executor) -> _Injection:
     return _Injection(executor)
 
 
-class ChaosStore(ResultStore):
-    """Result store that sabotages a deterministic fraction of writes.
-
-    Damage is applied *after* the atomic publish — the entry looks
-    successfully written (exactly like a bad disk or a writer killed
-    after ``os.replace``), and only the CRC framing can tell.
-    """
-
-    def __init__(self, root, config: ChaosConfig):
-        super().__init__(root)
-        self.config = config
-
-    def doomed_keys(self, kind: str, keys) -> list[str]:
-        rate = {"corrupt": self.config.corrupt_rate,
-                "truncate": self.config.truncate_rate}[kind]
-        return [k for k in keys if doomed(self.config, kind, rate, k)]
-
-    def put(self, key: str, value) -> Path:
-        path = super().put(key, value)
-        cfg = self.config
-        if _fire(cfg, "corrupt", cfg.corrupt_rate, key):
-            data = bytearray(path.read_bytes())
-            data[len(data) // 2] ^= 0xFF
-            path.write_bytes(bytes(data))
-        elif _fire(cfg, "truncate", cfg.truncate_rate, key):
-            data = path.read_bytes()
-            path.write_bytes(data[:max(1, int(len(data) * 0.6))])
-        return path
-
-
 # ---------------------------------------------------------------------------
 # I/O-seam fault injection (the StoreBackend proxy)
 # ---------------------------------------------------------------------------
@@ -224,8 +188,11 @@ class BackendChaosConfig:
     #: reads raise ``OSError(ESTALE)`` (stale NFS file handle)
     stale_rate: float = 0.0
     #: publishes/links land *truncated* bytes but report success — the
-    #: damage only CRC framing (or a torn-tolerant JSON reader) catches
+    #: damage only framing (or a torn-tolerant JSON reader) catches
     torn_rate: float = 0.0
+    #: publishes/links land with the middle byte flipped but report
+    #: success — full length, so only the store's CRC catches it
+    corrupt_rate: float = 0.0
     #: any operation first sleeps ``latency_seconds`` (slow mount)
     latency_rate: float = 0.0
     latency_seconds: float = 0.02
@@ -235,11 +202,11 @@ class BackendChaosConfig:
         """Parse the env spelling: ``"seed=7,eio=0.05,stale=0.1"``.
 
         Keys: ``seed``, ``eio``, ``enospc``, ``stale``, ``torn``,
-        ``latency``, ``latency_seconds``.
+        ``corrupt``, ``latency``, ``latency_seconds``.
         """
         fields = {"eio": "eio_rate", "enospc": "enospc_rate",
                   "stale": "stale_rate", "torn": "torn_rate",
-                  "latency": "latency_rate",
+                  "corrupt": "corrupt_rate", "latency": "latency_rate",
                   "latency_seconds": "latency_seconds"}
         kwargs: dict[str, float | int] = {}
         for part in spec.split(","):
@@ -263,12 +230,13 @@ class ChaosBackend(StoreBackend):
 
     Every verb of the physical-storage protocol can fail the way a
     real deployment fails: ``EIO`` from a dying disk, ``ENOSPC`` from
-    a full one, latency spikes from a congested mount, *torn writes*
-    that report success and leave truncated bytes, and stale NFS
-    reads.  Fault decisions are pure functions of
-    ``(seed, kind, file name, attempt number)`` — reproducible run to
-    run, fresh per retry — and the per-process attempt counters mean a
-    fixed rate behaves like independent weather, not a cursed file.
+    a full one, latency spikes from a congested mount, *torn* or
+    *corrupt* writes that report success and leave truncated or
+    bit-flipped bytes, and stale NFS reads.  Fault decisions are pure
+    functions of ``(seed, kind, file name, attempt number)`` —
+    reproducible run to run, fresh per retry — and the per-process
+    attempt counters mean a fixed rate behaves like independent
+    weather, not a cursed file.
     """
 
     def __init__(self, inner: StoreBackend | str | os.PathLike,
@@ -292,6 +260,13 @@ class ChaosBackend(StoreBackend):
             return True
         return False
 
+    def doomed_names(self, kind: str, names) -> list[str]:
+        """The file ``names`` whose first ``kind`` roll fires
+        (prediction helper for tests)."""
+        rate = getattr(self.config, f"{kind.partition('-')[0]}_rate")
+        return [n for n in names
+                if roll(self.config.seed, kind, f"{n}#0") < rate]
+
     def _maybe_latency(self, name: str) -> None:
         if self._fires("latency", self.config.latency_rate, name):
             time.sleep(self.config.latency_seconds)
@@ -306,9 +281,15 @@ class ChaosBackend(StoreBackend):
             raise OSError(errno.EIO, f"chaos: read error on {name}")
         return self.inner.read_bytes(path)
 
-    def _tear(self, src: Path) -> None:
-        data = src.read_bytes()
-        src.write_bytes(data[:max(1, int(len(data) * 0.6))])
+    def _damage(self, src: Path, name: str) -> None:
+        """Tear and/or corrupt ``src`` in place before it lands."""
+        if self._fires("torn", self.config.torn_rate, name):
+            data = src.read_bytes()
+            src.write_bytes(data[:max(1, int(len(data) * 0.6))])
+        if self._fires("corrupt", self.config.corrupt_rate, name):
+            data = bytearray(src.read_bytes())
+            data[len(data) // 2] ^= 0xFF
+            src.write_bytes(bytes(data))
 
     def _write_faults(self, name: str) -> None:
         self._maybe_latency(name)
@@ -320,14 +301,12 @@ class ChaosBackend(StoreBackend):
 
     def publish(self, tmp: Path, dst: Path) -> None:
         self._write_faults(dst.name)
-        if self._fires("torn", self.config.torn_rate, dst.name):
-            self._tear(tmp)
+        self._damage(tmp, dst.name)
         self.inner.publish(tmp, dst)
 
     def link(self, src: Path, dst: Path) -> None:
         self._write_faults(dst.name)
-        if self._fires("torn", self.config.torn_rate, dst.name):
-            self._tear(src)
+        self._damage(src, dst.name)
         self.inner.link(src, dst)
 
     def lock(self, name: str = ".lock", exclusive: bool = False):

@@ -18,8 +18,9 @@ tolerate.  Scheduling properties:
   job is terminated and replaced;
 * **transient-failure retry** — a job whose worker died, timed out, or
   raised an ``OSError`` (the transient arm of the error taxonomy; see
-  :mod:`repro.exec.campaign`) is requeued up to ``max_retries`` times
-  with exponential ``retry_backoff``; exhaustion is recorded as a
+  :mod:`repro.exec.campaign`) is requeued up to ``max_retries`` times,
+  sleeping the :class:`~repro.exec.resilience.RetryPolicy` schedule
+  that starts at ``retry_backoff``; exhaustion is recorded as a
   :class:`JobFailure` instead of raised, so one poisonous job cannot
   sink a corpus-scale batch;
 * **graceful interruption** — ``should_stop`` (a zero-argument
@@ -55,6 +56,7 @@ from repro.exec import warm as warm_mod
 from repro.exec.costmodel import CostModel, lpt_order
 from repro.exec.jobs import JobSpec, code_fingerprint, execute_job
 from repro.exec.progress import ProgressReporter
+from repro.exec.resilience import RetryPolicy
 from repro.exec.store import ResultStore
 
 #: indirection so tests (and embedders) can swap the job runner; workers
@@ -187,15 +189,18 @@ def run_jobs(jobs: Sequence[JobSpec], n_jobs: int = 1, *,
     order degrades to FIFO — exactly the previous behavior.
     """
     jobs = list(jobs)
+    # attempts, not wall clock, bound a job's retries: jobs run minutes
+    retry = RetryPolicy(retries=max_retries, backoff=retry_backoff,
+                        deadline=None)
     with obs.span("pool.run_jobs", jobs=len(jobs), n_jobs=n_jobs):
         return _run_jobs(jobs, n_jobs, store, progress, reporter, catch,
-                         timeout, max_retries, retry_backoff, should_stop,
-                         start_method, chunk_size, cost_model)
+                         timeout, retry, should_stop, start_method,
+                         chunk_size, cost_model)
 
 
 def _run_jobs(jobs: list, n_jobs: int, store, progress, reporter, catch,
-              timeout, max_retries, retry_backoff, should_stop,
-              start_method, chunk_size, cost_model) -> list:
+              timeout, retry, should_stop, start_method, chunk_size,
+              cost_model) -> list:
     total = len(jobs)
     outcomes: list = [None] * total
     if reporter is None:
@@ -227,8 +232,7 @@ def _run_jobs(jobs: list, n_jobs: int, store, progress, reporter, catch,
             reporter.worker_busy(0, job.name)
             with obs.span("pool.job", workload=job.name, worker=0) as sp:
                 outcomes[i], cached, seconds = _run_one_serial(
-                    job, keys[i] if keys else None, store, catch,
-                    max_retries, retry_backoff)
+                    job, keys[i] if keys else None, store, catch, retry)
                 if cached:
                     sp.set_attr("cached", True)
             reporter.worker_idle(0)
@@ -274,8 +278,7 @@ def _run_jobs(jobs: list, n_jobs: int, store, progress, reporter, catch,
 
     _run_parallel(jobs, misses, outcomes, keys, store, reporter,
                   catch, timeout, method, min(n_jobs, len(misses)),
-                  chunk_size, max_retries, retry_backoff, should_stop,
-                  cost_model, estimates)
+                  chunk_size, retry, should_stop, cost_model, estimates)
     if cost_model is not None:
         cost_model.save()
     return outcomes
@@ -284,19 +287,10 @@ def _run_jobs(jobs: list, n_jobs: int, store, progress, reporter, catch,
 _MISS = object()
 
 
-def _backoff_seconds(retry_backoff: float, attempt: int) -> float:
-    """Exponential backoff before re-attempt ``attempt + 1``."""
-    if retry_backoff <= 0.0:
-        return 0.0
-    return retry_backoff * (2.0 ** (attempt - 1))
-
-
 def _run_one_serial(job: JobSpec, key: str | None,
                     store: ResultStore | None,
                     catch: tuple[type, ...],
-                    max_retries: int = 1,
-                    retry_backoff: float = 0.0
-                    ) -> tuple[object, bool, float]:
+                    retry: RetryPolicy) -> tuple[object, bool, float]:
     """One in-process job: ``(outcome, served_from_store, seconds)``.
 
     Mirrors the worker's failure hygiene: any exception from the job —
@@ -307,9 +301,10 @@ def _run_one_serial(job: JobSpec, key: str | None,
         hit = store.get(key, _MISS)
         if hit is not _MISS:
             return hit, True, 0.0
-    attempt = 0
-    while True:
-        attempt += 1
+    delays = [0.0, *retry.delays()]
+    for attempt, delay in enumerate(delays, 1):
+        if delay:
+            time.sleep(delay)
         started = time.perf_counter()
         try:
             result = _execute(job)
@@ -317,10 +312,7 @@ def _run_one_serial(job: JobSpec, key: str | None,
         except OSError as exc:
             warm_mod.evict_all()
             # Transient per the campaign taxonomy: retry with backoff.
-            if attempt <= max_retries:
-                delay = _backoff_seconds(retry_backoff, attempt)
-                if delay:
-                    time.sleep(delay)
+            if attempt < len(delays):
                 continue
             if isinstance(exc, catch):
                 return JobFailure(job=job, error=exc,
@@ -347,11 +339,13 @@ def _auto_chunk(n_misses: int, n_jobs: int) -> int:
 
 
 def _run_parallel(jobs, misses, outcomes, keys, store, reporter, catch,
-                  timeout, method, n_jobs, chunk_size, max_retries,
-                  retry_backoff, should_stop, cost_model=None,
-                  estimates=None) -> None:
+                  timeout, method, n_jobs, chunk_size, retry,
+                  should_stop, cost_model=None, estimates=None) -> None:
     import multiprocessing
 
+    max_retries = retry.retries
+    #: delays[n - 1] precedes re-attempt n + 1
+    delays = list(retry.delays())
     ctx = multiprocessing.get_context(method)
     chunk = chunk_size or _auto_chunk(len(misses), n_jobs)
     result_queue = ctx.Queue()
@@ -414,7 +408,7 @@ def _run_parallel(jobs, misses, outcomes, keys, store, reporter, catch,
 
     def requeue(index: int) -> None:
         obs.add("pool.retries")
-        delay = _backoff_seconds(retry_backoff, attempts[index])
+        delay = delays[attempts[index] - 1]
         if delay:
             ready_at[index] = time.monotonic() + delay
         pending.appendleft(index)

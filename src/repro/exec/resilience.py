@@ -14,6 +14,10 @@ out needs three small tools it kept reimplementing ad hoc:
   exponential backoff and a hard wall-clock deadline.  Unbounded or
   fixed-count retry loops are exactly the bug this replaces: a loop
   that spins on a stale NFS handle forever looks identical to a hang.
+  Every retry site takes its budget and delays from a policy: the
+  pool's job retries, the ``shared:`` backend's ``ESTALE`` reads, the
+  fabric's ledger/store writes (:data:`WRITE_POLICY`) and the
+  coordinator's result collection.
 * :class:`CircuitBreaker` — after ``threshold`` consecutive failures
   the circuit opens and calls fail fast with
   :class:`BackendUnavailable` for ``cooldown`` seconds, then a single
@@ -64,6 +68,11 @@ class RetryPolicy:
             delay = min(delay * 2.0, self.max_backoff)
 
 
+#: fabric ledger/store writes (coordinator enqueues, worker result puts
+#: and done records): three tries inside two seconds, then degrade
+WRITE_POLICY = RetryPolicy(retries=2, backoff=0.05, deadline=2.0)
+
+
 def retry_call(fn, *, policy: RetryPolicy = RetryPolicy(),
                retry_on: tuple[type, ...] = (OSError,),
                on_retry=None):
@@ -77,12 +86,14 @@ def retry_call(fn, *, policy: RetryPolicy = RetryPolicy(),
     """
     start = time.monotonic()
     last: BaseException | None = None
-    for attempt, delay in enumerate([None, *policy.delays()]):
+    attempts = 0
+    for delay in [None, *policy.delays()]:
         if delay is not None:
             if policy.deadline is not None \
                     and time.monotonic() + delay - start > policy.deadline:
                 break
             time.sleep(delay)
+        attempts += 1
         try:
             return fn()
         except BackendUnavailable:
@@ -90,9 +101,9 @@ def retry_call(fn, *, policy: RetryPolicy = RetryPolicy(),
         except retry_on as exc:
             last = exc
             if on_retry is not None:
-                on_retry(attempt + 1, exc)
+                on_retry(attempts, exc)
     raise BackendUnavailable(
-        f"gave up after {policy.retries + 1} attempt(s) / "
+        f"gave up after {attempts} attempt(s) / "
         f"{time.monotonic() - start:.2f}s: {last}") from last
 
 
@@ -157,11 +168,13 @@ class CircuitBreaker:
                 f"circuit open ({self._failures} consecutive failures)")
         try:
             result = fn()
-        except BackendUnavailable:
-            self.record_failure()
-            raise
         except OSError:
             self.record_failure()
+            raise
+        except BaseException:
+            # not an outage, but the probe slot must not stay claimed
+            with self._lock:
+                self._probing = False
             raise
         self.record_success()
         return result

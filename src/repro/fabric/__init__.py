@@ -20,7 +20,14 @@ small protocol on top:
   leases, settles outcomes through the
   :class:`~repro.exec.campaign.CampaignManifest` duplicate-completion
   guard, and reassembles the exact ``SuiteResult`` a serial run
-  produces — bit-identical no matter how many workers died;
+  produces — bit-identical no matter how many workers died.  It
+  coordinates only while it holds the epoch-numbered election seat
+  (a lone coordinator wins it the way a standby does, and a finished
+  ``repro-fabric run`` hands it over unless a standby is watching;
+  ``repro-fabric standby`` waits behind a live leader), every ledger
+  write is fenced by that epoch so
+  a zombie ex-leader is rejected, and a new leader adopts whatever
+  campaign the dead one left open;
 * :mod:`repro.fabric.worker` — :class:`WorkerAgent`
   (``repro-fabric worker``), the per-host loop: claim, run through the
   existing pool/store/warm/cost-model path, report back;
@@ -29,18 +36,12 @@ small protocol on top:
   against the store (hit → immediate, miss → enqueue), progress
   streams as NDJSON, ``/metrics`` exposes the fleet-health gauges in
   Prometheus text format, and span context crosses the HTTP boundary
-  via ``X-Repro-Span``;
-* :mod:`repro.fabric.ha` — :class:`HACoordinator`
-  (``repro-fabric standby``): epoch-numbered leader election over the
-  same directory, fenced ledger writes that reject a zombie
-  ex-leader, and submission adoption so a standby finishes whatever
-  campaign the dead leader left open.
+  via ``X-Repro-Span``.
 """
 
 from repro.fabric.coordinator import (Coordinator, FabricTimeout,
                                       Submission, fabric_backend,
-                                      submission_id)
-from repro.fabric.ha import HACoordinator, observe_outcomes
+                                      observe_outcomes, submission_id)
 from repro.fabric.lease import (Election, LeadershipLost, LeaseLedger,
                                 default_coordinator_id)
 from repro.fabric.service import (CharacterizationService, FabricServer,
@@ -54,8 +55,7 @@ __all__ = [
     "LeaseLedger", "Election", "LeadershipLost",
     "default_coordinator_id",
     "Coordinator", "FabricTimeout", "Submission", "fabric_backend",
-    "submission_id",
-    "HACoordinator", "observe_outcomes",
+    "submission_id", "observe_outcomes",
     "WorkerAgent", "ResultSpool", "default_worker_id",
     "CharacterizationService", "FabricServer", "ServerThread",
     "parse_request",

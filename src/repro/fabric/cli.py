@@ -4,8 +4,8 @@ One binary, five subcommands, mirroring the roles in a deployment::
 
     repro-fabric worker DIR     # one per host: pull leases, run jobs
     repro-fabric serve DIR      # the HTTP front door (one instance)
-    repro-fabric run DIR ...    # a one-shot campaign as coordinator
-    repro-fabric standby DIR    # hot-standby coordinator (HA failover)
+    repro-fabric run DIR ...    # a one-shot campaign, elected coordinator
+    repro-fabric standby DIR    # hot-standby coordinator (failover)
     repro-fabric status DIR     # fleet view of a fabric directory
 
 ``DIR`` is the fabric directory every role shares — a local path for
@@ -84,7 +84,6 @@ def _cmd_serve(args) -> int:
 def _cmd_run(args) -> int:
     from repro.exec.campaign import CampaignInterrupted, graceful_shutdown
     from repro.fabric.coordinator import Coordinator
-    from repro.fabric.ha import HACoordinator
     from repro.fabric.service import parse_request
 
     body = {"machine": args.machine, "seed": args.seed,
@@ -94,14 +93,10 @@ def _cmd_run(args) -> int:
     else:
         body["benchmarks"] = args.benchmark
     specs, machine, fidelity, seed = parse_request(body)
-    if args.ha:
-        coordinator = HACoordinator(
-            args.root, shared=args.shared, lease_ttl=args.lease_ttl,
-            coordinator_id=args.coordinator_id,
-            coordinator_ttl=args.coordinator_ttl)
-    else:
-        coordinator = Coordinator(args.root, shared=args.shared,
-                                  lease_ttl=args.lease_ttl)
+    coordinator = Coordinator(args.root, shared=args.shared,
+                              lease_ttl=args.lease_ttl,
+                              coordinator_id=args.coordinator_id,
+                              coordinator_ttl=args.coordinator_ttl)
     try:
         with graceful_shutdown() as stop:
             suite = coordinator.run_campaign(
@@ -110,9 +105,13 @@ def _cmd_run(args) -> int:
     except CampaignInterrupted as err:
         print(f"# {err}", file=sys.stderr)
         return 130
-    root = coordinator.coord.root if args.ha else coordinator.root
+    finally:
+        # hand the seat over so the next `run` on this directory takes
+        # it at once; a watching standby takes over through the ttl
+        if not coordinator.standbys():
+            coordinator.resign()
     print(f"# {len(suite.results)} benchmarks on {machine.name} "
-          f"via {root}")
+          f"via {coordinator.root}")
     for result in suite.results:
         print(f"{result.spec.name}\t{result.seconds:.6f}\t"
               f"{result.ipc:.3f}")
@@ -128,18 +127,19 @@ def _cmd_run(args) -> int:
 
 def _cmd_standby(args) -> int:
     from repro.exec.campaign import graceful_shutdown
-    from repro.fabric.ha import HACoordinator
+    from repro.fabric.coordinator import Coordinator
 
-    ha = HACoordinator(args.root, shared=args.shared,
-                       lease_ttl=args.lease_ttl,
-                       coordinator_id=args.coordinator_id,
-                       coordinator_ttl=args.coordinator_ttl)
-    print(f"# standby coordinator {ha.coordinator_id} watching "
-          f"{ha.coord.root}", file=sys.stderr)
+    coordinator = Coordinator(args.root, shared=args.shared,
+                              lease_ttl=args.lease_ttl,
+                              coordinator_id=args.coordinator_id,
+                              coordinator_ttl=args.coordinator_ttl)
+    print(f"# standby coordinator {coordinator.coordinator_id} watching "
+          f"{coordinator.root}", file=sys.stderr)
     with graceful_shutdown() as stop:
-        ha.run(should_stop=stop.is_set, idle_exit=args.idle_exit)
-    role = f"leader@{ha.coord.epoch}" if ha.is_leader else "standby"
-    print(f"# coordinator {ha.coordinator_id} exit ({role})",
+        coordinator.run(should_stop=stop.is_set, idle_exit=args.idle_exit)
+    role = (f"leader@{coordinator.epoch}" if coordinator.is_leader
+            else "standby")
+    print(f"# coordinator {coordinator.coordinator_id} exit ({role})",
           file=sys.stderr)
     return 0
 
@@ -206,9 +206,6 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--timeout", type=float, default=None,
                    help="overall campaign deadline in seconds")
     p.add_argument("--lease-ttl", type=float, default=10.0)
-    p.add_argument("--ha", action="store_true",
-                   help="coordinate under leader election so a "
-                        "standby can take over if this process dies")
     p.add_argument("--coordinator-id", default=None,
                    help="stable coordinator id (default: c-<host>-<pid>)")
     p.add_argument("--coordinator-ttl", type=float, default=5.0,

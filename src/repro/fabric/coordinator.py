@@ -19,6 +19,32 @@ content-addressed store, failures as structured
 is seeded-deterministic and the store content-addressed, so a campaign
 that survived any number of worker-host deaths is bit-identical to a
 single-host serial run — the fabric chaos test asserts exactly that.
+
+**The role itself is elected.**  A coordinator coordinates only while
+it holds the seat: the highest epoch in ``election/`` (see
+:class:`~repro.fabric.lease.Election`).  A lone coordinator wins the
+seat through the same :meth:`~repro.fabric.lease.Election.try_takeover`
+a standby uses — a single-member election: epoch 1 on a fresh
+directory, ``E+1`` once the previous holder resigned or its heartbeat
+went stale for the ttl.  Any number of coordinators may watch one
+fabric directory, the rest standing by and aging the leader's
+heartbeat.  Every ledger mutation (enqueue,
+reclaim, requeue, settle) is **fenced** by the leader's epoch, so a
+deposed leader that wakes up later gets
+:class:`~repro.fabric.lease.LeadershipLost` instead of corrupting a
+successor's ledger.  Campaign state is *reconstructible*: submissions
+are persisted under ``submissions/`` before their units are enqueued,
+so a freshly-elected standby rebuilds every open campaign from the
+ledger + store (:meth:`Coordinator.adopt`) and carries on where the
+corpse left off.  Failover costs the takeover ttl plus one adoption
+scan; no work is lost, and requeue budgets merely reset (the generous
+direction).
+
+Submission is leadership-independent and completion is a submission's
+*settled marker*, not the submitter's own bookkeeping
+(:meth:`Coordinator.wait`): if the submitter is deposed — or never
+elected — whoever leads finishes the campaign and the submitter still
+assembles the identical answer from the store.
 """
 
 from __future__ import annotations
@@ -29,6 +55,7 @@ import pickle
 import re
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 from repro import obs
@@ -37,17 +64,18 @@ from repro.exec.campaign import (TRANSIENT, CampaignInterrupted,
                                  CampaignManifest, WorkloadFailure)
 from repro.exec.costmodel import CostModel, cost_key, lpt_order
 from repro.exec.jobs import JobSpec, code_fingerprint
-from repro.exec.resilience import RetryPolicy, retry_call
+from repro.exec.resilience import WRITE_POLICY, RetryPolicy, retry_call
 from repro.exec.store import ResultStore
-from repro.fabric.lease import (Election, LeaseLedger, _ChangeTracker,
-                                _read_json, default_coordinator_id)
+from repro.fabric.lease import (Election, LeadershipLost, LeaseLedger,
+                                _ChangeTracker, _read_json,
+                                default_coordinator_id)
 from repro.fabric.units import WorkUnit, make_unit_id
 
 #: fabric-root subdirectory holding the shared result store (+ costs.json)
 STORE_DIR = "store"
 #: fabric-root subdirectory holding the shared trace store
 TRACES_DIR = "traces"
-#: fabric-root subdirectory persisting submissions (for HA adoption)
+#: fabric-root subdirectory persisting submissions (for adoption)
 SUBMISSIONS_DIR = "submissions"
 #: default campaign journal filename under the fabric root
 MANIFEST_NAME = "campaign.jsonl"
@@ -56,6 +84,11 @@ MANIFEST_NAME = "campaign.jsonl"
 DEFAULT_LEASE_TTL = 10.0
 #: default re-enqueue budget per key before the unit settles as failed
 DEFAULT_MAX_REQUEUES = 5
+#: seconds of leader-heartbeat silence before a standby takes over
+DEFAULT_COORDINATOR_TTL = 5.0
+
+#: result reads while assembling a SuiteResult: 4 tries across 1.75 s
+_COLLECT_POLICY = RetryPolicy(retries=3, backoff=0.25)
 
 #: on-disk submission record schema
 SUBMISSION_SCHEMA = 1
@@ -90,6 +123,45 @@ def fabric_backend(root: str | Path | StoreBackend,
     return backend_for(f"{'shared' if shared else 'local'}:{root}")
 
 
+def _unit_seq(unit_id: str) -> int:
+    """The sequence number a unit id embeds (0 if it has none)."""
+    m = _UNIT_SEQ_RE.match(unit_id)
+    return int(m.group(1)) if m else 0
+
+
+def _newest_failures(done: dict[str, dict],
+                     after: int = 0) -> dict[str, dict]:
+    """Key -> its newest failed done-record with unit seq above ``after``
+    (unit seqs only grow across leaders: a re-run's failure wins)."""
+    out: dict[str, dict] = {}
+    for unit_id in sorted(done, key=_unit_seq):
+        rec = done[unit_id]
+        if rec.get("status") != "done" and rec.get("key") \
+                and _unit_seq(unit_id) > after:
+            out[rec["key"]] = rec
+    return out
+
+
+def observe_outcomes(coord: Coordinator,
+                     keys: list[str]) -> dict[int, tuple[str, object]]:
+    """Read-only settlement view: outcomes derivable from disk alone.
+
+    Built from the store (done) and each key's newest failed
+    done-record (failed) — no leadership required.  Complete exactly
+    when every index appears, which is what the settled marker
+    promises.
+    """
+    failed_by_key = _newest_failures(coord.ledger.done_records())
+    outcomes: dict[int, tuple[str, object]] = {}
+    for i, key in enumerate(keys):
+        if coord.store.get(key) is not None:
+            outcomes[i] = ("done", key)
+        elif key in failed_by_key:
+            outcomes[i] = ("failed", WorkloadFailure.from_json(
+                failed_by_key[key]["failure"]))
+    return outcomes
+
+
 @dataclass
 class _Pending:
     """Coordinator-side state of one not-yet-settled unit."""
@@ -110,11 +182,13 @@ class Submission:
 
     jobs: list[JobSpec]
     keys: list[str]
+    #: persisted-submission id (content-derived, see :func:`submission_id`)
+    sid: str
     #: unit id -> pending state for every in-flight unit
     pending: dict[str, _Pending] = field(default_factory=dict)
     outcomes: dict[int, tuple[str, object]] = field(default_factory=dict)
-    #: persisted-submission id (None = never persisted, pre-HA batches)
-    sid: str | None = None
+    #: journal its settlements go to (None = the coordinator's own)
+    manifest: CampaignManifest | None = None
 
     @property
     def done(self) -> bool:
@@ -129,14 +203,20 @@ class Submission:
 
 
 class Coordinator:
-    """Fleet-side scheduler over a shared fabric directory."""
+    """Fleet-side scheduler over a shared fabric directory.
+
+    Drive it with :meth:`step` (one election-plus-coordination tick),
+    :meth:`run` (the standby service loop) or :meth:`run_campaign`
+    (submit a batch and see it through, surviving our own deposition).
+    """
 
     def __init__(self, root: str | Path | StoreBackend, *,
                  shared: bool = False,
                  lease_ttl: float = DEFAULT_LEASE_TTL,
                  poll_interval: float = 0.05,
                  max_requeues: int = DEFAULT_MAX_REQUEUES,
-                 coordinator_id: str | None = None):
+                 coordinator_id: str | None = None,
+                 coordinator_ttl: float = DEFAULT_COORDINATOR_TTL):
         backend = fabric_backend(root, shared=shared)
         self.backend = backend
         self.root = backend.root
@@ -150,17 +230,141 @@ class Coordinator:
         self.poll_interval = poll_interval
         self.max_requeues = max_requeues
         self.coordinator_id = coordinator_id or default_coordinator_id()
+        self.coordinator_ttl = coordinator_ttl
         self.election = Election(self.ledger)
-        #: the epoch we coordinate under; ``None`` disables fencing
-        #: (single-coordinator mode — the pre-HA behaviour)
+        #: the epoch we lead under; ``None`` until we win the seat (and
+        #: again once deposed)
         self.epoch: int | None = None
+        #: sid -> submission we coordinate while we lead
+        self._subs: dict[str, Submission] = {}
+        self._hb_seq = 0
+        self._hb_last = 0.0
         self._orphan_tracker = _ChangeTracker()
         self._seq = 0
 
+    @cached_property
+    def manifest(self) -> CampaignManifest:
+        """The fabric's campaign journal (default home of settlements)."""
+        return CampaignManifest(self.root / MANIFEST_NAME)
+
+    # -- leadership ------------------------------------------------------
+
+    @property
+    def is_leader(self) -> bool:
+        return self.epoch is not None
+
+    def _elect(self) -> bool:
+        """Stand for the seat; True while we hold it.
+
+        An empty seat goes to its first claimant (a lone coordinator
+        wins epoch 1), an expired leader's to epoch ``E+1``; a live
+        leader keeps it.
+        """
+        if self.epoch is None:
+            epoch = self.election.try_takeover(self.coordinator_id,
+                                               self.coordinator_ttl)
+            if epoch is None:
+                return False
+            self.epoch = epoch
+            self._hb_last = 0.0
+            obs.gauge_set("fabric.leader_epoch", float(epoch))
+        return True
+
     def _check_fence(self) -> None:
-        """Refuse to mutate the ledger if we have been deposed."""
-        if self.epoch is not None:
-            self.election.check(self.epoch)
+        """Refuse to mutate the ledger unless we hold the seat."""
+        if self.epoch is None:
+            raise LeadershipLost(
+                f"{self.coordinator_id} does not hold the coordinator "
+                f"seat")
+        self.election.check(self.epoch)
+
+    def _heartbeat(self) -> None:
+        """Publish our coordinator liveness (throttled, best-effort)."""
+        now = time.monotonic()
+        if now - self._hb_last < self.coordinator_ttl / 3.0:
+            return
+        self._hb_last = now
+        self._hb_seq += 1
+        try:
+            self.election.heartbeat(self.coordinator_id,
+                                    self.epoch or 0, self._hb_seq)
+        except OSError:
+            obs.add("fabric.coordinator_io_errors")
+
+    def step(self) -> bool:
+        """One tick; returns True when we hold the seat after it.
+
+        Standby: heartbeat, take over once the leader expires.  Leader:
+        heartbeat, adopt any open submission we are not yet tracking,
+        poll them all, mark the finished ones settled.
+        ``LeadershipLost`` demotes us back to standby; plain I/O errors
+        are weather — counted and retried next tick.
+        """
+        if not self._elect():
+            self._heartbeat()
+            return False
+        try:
+            self._heartbeat()
+            for sid in self.open_submissions():
+                if sid not in self._subs:
+                    self._subs[sid] = self.adopt(sid)
+            for sid, sub in list(self._subs.items()):
+                self.poll(sub, sub.manifest or self.manifest)
+                if sub.done:
+                    self.mark_settled(sid)
+                    del self._subs[sid]
+        except LeadershipLost:
+            self.epoch = None
+            self._subs = {}
+            obs.add("fabric.leadership_lost")
+            return False
+        except OSError:
+            obs.add("fabric.coordinator_io_errors")
+        return True
+
+    def run(self, should_stop=None, idle_exit: float | None = None) -> None:
+        """The standby/leader service loop (``repro-fabric standby``).
+
+        Ticks until the fleet stop marker appears, ``should_stop``
+        fires, or — with ``idle_exit`` — no submission has been open
+        for that many seconds.  A standby waiting behind a live leader
+        is *not* idle while open submissions exist.  Resigns on exit,
+        so a successor need not wait out the ttl.
+        """
+        idle_since = time.monotonic()
+        try:
+            while True:
+                if self.ledger.stop_requested():
+                    break
+                if should_stop is not None and should_stop():
+                    break
+                self.step()
+                if self._subs or self.open_submissions():
+                    idle_since = time.monotonic()
+                elif idle_exit is not None \
+                        and time.monotonic() - idle_since > idle_exit:
+                    break
+                time.sleep(self.poll_interval)
+        finally:
+            self.resign()
+
+    def resign(self) -> None:
+        """Hand the seat over (best effort) if we lead: the next
+        claimant need not wait out the ttl."""
+        if self.is_leader:
+            try:
+                self.election.resign(self.coordinator_id)
+            except OSError:
+                obs.add("fabric.coordinator_io_errors")
+
+    def standbys(self) -> list[str]:
+        """Other coordinators heartbeating within our ttl, by wall clock
+        — a hint only: a missed standby merely gets the seat sooner."""
+        now = time.time()
+        return sorted(
+            cid for cid, rec in self.election.coordinators().items()
+            if cid != self.coordinator_id and not rec.get("resigned")
+            and now - float(rec.get("ts", 0.0)) <= self.coordinator_ttl)
 
     # -- submission ------------------------------------------------------
 
@@ -178,19 +382,22 @@ class Coordinator:
     def submission_path(self, sid: str) -> Path:
         return self.root / SUBMISSIONS_DIR / f"{sid}.json"
 
-    def _persist_submission(self, sub: Submission,
-                            fingerprint: str) -> None:
-        """Durably record the batch so a standby can adopt it.
+    def _open(self, sub: Submission, fingerprint: str) -> int:
+        """Durably record the batch so any leader can adopt it.
 
-        Written *before* any unit is enqueued: a coordinator that dies
-        mid-submit leaves either no record (nothing to adopt) or a
-        record plus a prefix of its units — and adoption re-enqueues
-        whatever is missing.  Content-derived ids make the write
-        idempotent across leaders.
+        Written *before* any unit is enqueued, so a coordinator dying
+        mid-submit leaves no record or a record plus a prefix of its
+        units.  A settled batch with store misses left (failures) is
+        *re-opened*: record rewritten, settled marker dropped.  Returns
+        ``opened_after``, the highest unit seq in the ledger at the
+        (re)opening; failures at or below it do not settle this one.
         """
         dst = self.submission_path(sub.sid)
-        if dst.exists():
-            return
+        reopen = not sub.done and self.is_settled(sub.sid)
+        rec = None if reopen else _read_json(dst)
+        if rec is not None and rec.get("schema") == SUBMISSION_SCHEMA:
+            return int(rec.get("opened_after", 0))
+        opened_after = self._ledger_seq(self.ledger.done_records())
         payload = {
             "schema": SUBMISSION_SCHEMA, "sid": sub.sid,
             "fingerprint": fingerprint, "total": len(sub.jobs),
@@ -199,9 +406,13 @@ class Coordinator:
             "jobs_pkl": base64.b64encode(
                 pickle.dumps(sub.jobs,
                              protocol=pickle.HIGHEST_PROTOCOL)).decode(),
+            "opened_after": opened_after,
             "epoch": self.epoch, "ts": time.time(),
         }
         self.ledger._publish_json(payload, dst)
+        if reopen:
+            self._settled_marker(sub.sid).unlink(missing_ok=True)
+        return opened_after
 
     def open_submissions(self) -> list[str]:
         """Persisted submissions not yet marked settled."""
@@ -215,115 +426,124 @@ class Coordinator:
                 if n.endswith(".json") and not n.startswith(".")
                 and n[:-len(".json")] not in done]
 
+    def _settled_marker(self, sid: str) -> Path:
+        return self.root / SUBMISSIONS_DIR / f"{sid}.done"
+
     def mark_settled(self, sid: str) -> None:
         """Record that every job of ``sid`` has a terminal outcome."""
-        self.ledger._publish_json(
-            {"sid": sid, "ts": time.time()},
-            self.root / SUBMISSIONS_DIR / f"{sid}.done")
+        self._check_fence()
+        self.ledger._publish_json({"sid": sid, "ts": time.time()},
+                                  self._settled_marker(sid))
 
     def is_settled(self, sid: str) -> bool:
-        return (self.root / SUBMISSIONS_DIR / f"{sid}.done").exists()
+        return self._settled_marker(sid).exists()
 
     def submit(self, jobs: list[JobSpec],
                fingerprint: str | None = None) -> Submission:
-        """Plan and enqueue a batch; store hits settle immediately.
+        """Persist a batch and, holding the seat, take it up.
 
-        Units are ranked longest-first from the shared cost model
-        (reloaded here, so observations reported by earlier fleet work
-        reorder later batches) and their queue filenames embed the
-        rank, making every worker's lexical directory scan the LPT
-        dispatch order.
+        Store hits settle immediately.  Without the seat the batch is
+        only persisted: the leader adopts it, and :meth:`wait` follows
+        it to its settled marker.  From the seat it is taken up as an
+        adoption would (:meth:`_reconcile`); a batch we already track
+        is returned as is, never enqueued twice.
         """
         if fingerprint is None:
             fingerprint = code_fingerprint()
         keys = [job.cache_key(fingerprint) for job in jobs]
-        sub = Submission(jobs=list(jobs), keys=keys,
-                         sid=submission_id(keys))
-        self._persist_submission(sub, fingerprint)
-
-        self.costs._load()      # adopt the fleet's latest observations
-        misses: list[int] = []
-        for i, (job, key) in enumerate(zip(jobs, keys)):
+        sid = submission_id(keys)
+        if sid in self._subs:
+            return self._subs[sid]
+        sub = Submission(jobs=list(jobs), keys=keys, sid=sid)
+        for i, key in enumerate(keys):
             if self.store.get(key) is not None:
                 sub.outcomes[i] = ("done", key)
                 obs.add("fabric.store_dedup_hits")
-            else:
-                misses.append(i)
-
-        estimates = [self.costs.estimate(jobs[i]) for i in misses]
-        for rank, i in enumerate(lpt_order(misses, estimates)):
-            unit = self._next_unit(jobs[i], keys[i], rank,
-                                   self.costs.estimate(jobs[i]))
-            retry_call(
-                lambda u=unit: self.ledger.enqueue(
-                    u, fence=self._check_fence),
-                policy=RetryPolicy(retries=2, backoff=0.05,
-                                   deadline=2.0))
-            sub.pending[unit.unit_id] = _Pending(index=i, unit=unit)
-        sub._unit_count = len(sub.pending)
+        sub._unit_count = len(jobs) - len(sub.outcomes)
+        if sub.done and self.is_settled(sid):
+            return sub              # nothing left to coordinate
+        opened_after = self._open(sub, fingerprint)
+        if self._elect():
+            self._subs[sid] = self._reconcile(sub, opened_after)
         return sub
 
     def adopt(self, sid: str) -> Submission:
         """Reconstruct a predecessor's submission from the ledger.
 
         The freshly-elected leader's half of failover: the persisted
-        record gives back the jobs/keys; store hits and done records
-        settle what already finished; surviving queue entries and
-        leases are matched back to their indices; anything left — a
-        unit the dead leader never enqueued, or one lost to a torn
-        write — is re-enqueued fresh.  Requeue budgets restart at zero
-        (the ledger does not journal them; a failover granting a few
-        extra retries is the safe direction).
+        record gives back the jobs/keys, and :meth:`_reconcile` settles
+        what already finished and enqueues the rest.  Requeue budgets
+        restart at zero (the ledger does not journal them; a failover
+        granting a few extra retries is the safe direction).
+
+        Fenced like every mutation: without the seat it raises
+        :class:`~repro.fabric.lease.LeadershipLost` and touches nothing.
         """
+        self._check_fence()
         rec = _read_json(self.submission_path(sid))
         if rec is None or rec.get("schema") != SUBMISSION_SCHEMA:
             raise FileNotFoundError(
                 f"no adoptable submission record for {sid!r}")
         jobs = pickle.loads(base64.b64decode(rec["jobs_pkl"]))
-        keys = list(rec["keys"])
-        sub = Submission(jobs=jobs, keys=keys, sid=sid)
+        sub = Submission(jobs=jobs, keys=list(rec["keys"]), sid=sid)
+        self._reconcile(sub, int(rec.get("opened_after", 0)))
+        obs.add("fabric.submissions_adopted")
+        return sub
 
+    def _reconcile(self, sub: Submission,
+                   opened_after: int) -> Submission:
+        """Settle what the ledger knows of ``sub``; enqueue the rest.
+
+        Store hits settle done, failures newer than the opening settle
+        failed, and a "done" record with no result behind it (a torn
+        write) is dropped so its key re-runs.  Surviving queue entries
+        and leases are matched back to their indices; the rest is
+        enqueued under our epoch, ranked longest-first by the freshly
+        reloaded cost model — queue filenames embed the rank, so every
+        worker's lexical directory scan is the LPT dispatch order.
+        """
+        self._check_fence()
+        jobs, keys = sub.jobs, sub.keys
         done = self.ledger.done_records()
-        self._recover_seq(done)
-        failed_by_key: dict[str, dict] = {}
-        for unit_id, drec in done.items():
-            if drec.get("status") == "done":
-                # verify before trusting: a torn result write can
-                # leave a done record with no store entry behind
-                key = drec.get("key")
-                if key and self.store.get(key) is None:
-                    self.ledger.done_path(unit_id).unlink(
-                        missing_ok=True)
-                    obs.add("fabric.done_without_result")
-            elif drec.get("key"):
-                failed_by_key[drec["key"]] = drec
-
-        unsettled: dict[str, int] = {}      # key -> index
+        # new unit ids continue past every id in the ledger, so none
+        # collides with an earlier campaign's done record
+        self._seq = max(self._seq, self._ledger_seq(done))
+        failed_by_key = _newest_failures(done, after=opened_after)
+        unsettled: dict[str, list[int]] = {}    # key -> indices
         for i, key in enumerate(keys):
+            if i in sub.outcomes:
+                continue
             if self.store.get(key) is not None:
                 sub.outcomes[i] = ("done", key)
             elif key in failed_by_key:
-                failure = WorkloadFailure.from_json(
-                    failed_by_key[key]["failure"])
-                sub.outcomes[i] = ("failed", failure)
+                sub.outcomes[i] = ("failed", WorkloadFailure.from_json(
+                    failed_by_key[key]["failure"]))
             else:
-                unsettled[key] = i
+                unsettled.setdefault(key, []).append(i)
+        for unit_id, drec in list(done.items()):
+            if drec.get("status") == "done" \
+                    and drec.get("key") in unsettled:
+                self.ledger.done_path(unit_id).unlink(missing_ok=True)
+                del done[unit_id]
+                obs.add("fabric.done_without_result")
 
         # match surviving units (queued and/or leased) to their indices
         for unit_id, path in self.ledger.queue_entries():
+            if unit_id in done:
+                continue
             try:
                 unit = WorkUnit.load(path)
             except Exception:
                 continue            # torn envelope: orphan path requeues
-            if unit.key in unsettled:
+            if unsettled.get(unit.key):
                 sub.pending[unit.unit_id] = _Pending(
-                    index=unsettled.pop(unit.key), unit=unit)
+                    index=unsettled[unit.key].pop(0), unit=unit)
         for unit_id in self.ledger.active_leases():
             if unit_id in sub.pending or unit_id in done:
                 continue
-            for key, i in list(unsettled.items()):
-                if unit_id.endswith(key[:12]):
-                    unsettled.pop(key)
+            for key, indices in unsettled.items():
+                if indices and unit_id.endswith(key[:12]):
+                    i = indices.pop(0)
                     sub.pending[unit_id] = _Pending(
                         index=i, unit=WorkUnit(
                             unit_id=unit_id, name=jobs[i].name, key=key,
@@ -331,27 +551,28 @@ class Coordinator:
                             job=jobs[i], epoch=self.epoch))
                     break
 
-        # whatever is left never made it into (or fell out of) the
-        # queue — enqueue it fresh under our epoch
-        for key, i in sorted(unsettled.items(), key=lambda kv: kv[1]):
-            unit = self._next_unit(jobs[i], key, rank=i,
-                                   estimate=self.costs.estimate(jobs[i]))
-            self.ledger.enqueue(unit, fence=self._check_fence)
-            sub.pending[unit.unit_id] = _Pending(index=i, unit=unit)
+        leftover = sorted(i for indices in unsettled.values()
+                          for i in indices)
+        if leftover:
+            self.costs._load()      # adopt the fleet's latest observations
+            estimates = [self.costs.estimate(jobs[i]) for i in leftover]
+            for rank, i in enumerate(lpt_order(leftover, estimates)):
+                unit = self._next_unit(jobs[i], keys[i], rank,
+                                       self.costs.estimate(jobs[i]))
+                retry_call(
+                    lambda u=unit: self.ledger.enqueue(
+                        u, fence=self._check_fence),
+                    policy=WRITE_POLICY)
+                sub.pending[unit.unit_id] = _Pending(index=i, unit=unit)
         sub._unit_count = len(jobs) - sum(
             1 for s, _ in sub.outcomes.values() if s == "done")
-        obs.add("fabric.submissions_adopted")
         return sub
 
-    def _recover_seq(self, done: dict[str, dict]) -> None:
-        """Continue the unit-id sequence past every id already on disk."""
-        seen = list(done)
-        seen += [uid for uid, _ in self.ledger.queue_entries()]
-        seen += list(self.ledger.active_leases())
-        for uid in seen:
-            m = _UNIT_SEQ_RE.match(uid)
-            if m:
-                self._seq = max(self._seq, int(m.group(1)))
+    def _ledger_seq(self, done: dict[str, dict]) -> int:
+        """The highest unit sequence number anywhere in the ledger."""
+        seen = [*done, *(uid for uid, _ in self.ledger.queue_entries()),
+                *self.ledger.active_leases()]
+        return max((_unit_seq(uid) for uid in seen), default=0)
 
     # -- settlement ------------------------------------------------------
 
@@ -399,7 +620,7 @@ class Coordinator:
                                pend.unit.estimate)
         retry_call(
             lambda: self.ledger.enqueue(unit, fence=self._check_fence),
-            policy=RetryPolicy(retries=2, backoff=0.05, deadline=2.0))
+            policy=WRITE_POLICY)
         sub.pending[unit.unit_id] = _Pending(
             index=pend.index, unit=unit, requeues=pend.requeues + 1)
         if manifest is not None:
@@ -527,27 +748,55 @@ class Coordinator:
                     self._requeue(sub, unit_id, manifest)
                     obs.add("fabric.orphans_requeued")
 
+    def refresh(self, sub: Submission) -> Submission:
+        """Bring ``sub.outcomes`` up to date, whoever coordinates it.
+
+        While we lead, our tracked copy is live; a submission another
+        coordinator finished is read back from disk once its settled
+        marker appears.
+        """
+        tracked = self._subs.get(sub.sid)
+        if tracked is not None:
+            sub.outcomes = tracked.outcomes
+        elif not sub.done and self.is_settled(sub.sid):
+            sub.outcomes = observe_outcomes(self, sub.keys)
+        return sub
+
     def wait(self, sub: Submission,
              manifest: CampaignManifest | None = None,
              timeout: float | None = None,
              should_stop=None) -> Submission:
-        """Poll until every job settles (or timeout / stop request)."""
+        """Tick :meth:`step` until ``sub``'s settled marker appears.
+
+        We coordinate whenever we hold the seat; completion is the
+        marker, so if we are deposed (or never elected) the leader
+        finishes ``sub`` and its outcomes are read back from disk.
+        ``manifest`` journals the settlements we make (default: the
+        coordinator's own).  Raises :class:`FabricTimeout` or, when
+        ``should_stop`` fires, :class:`CampaignInterrupted` after
+        asking the fleet to stop.
+        """
+        if manifest is not None:
+            sub.manifest = manifest
         deadline = None if timeout is None else time.monotonic() + timeout
-        while not sub.done:
+        while not self.is_settled(sub.sid):
             if should_stop is not None and should_stop():
                 self.ledger.request_stop()
+                states = [s for s, _ in
+                          observe_outcomes(self, sub.keys).values()]
                 raise CampaignInterrupted(
-                    manifest.path if manifest is not None else None,
-                    completed=sum(1 for s, _ in sub.outcomes.values()
-                                  if s == "done"),
-                    failed=sum(1 for s, _ in sub.outcomes.values()
-                               if s == "failed"),
-                    remaining=len(sub.pending))
-            if self.poll(sub, manifest) == 0:
-                if deadline is not None and time.monotonic() > deadline:
-                    raise FabricTimeout(list(sub.pending))
-                time.sleep(self.poll_interval)
-        return sub
+                    (sub.manifest or self.manifest).path,
+                    completed=states.count("done"),
+                    failed=states.count("failed"),
+                    remaining=len(sub.jobs) - len(states))
+            if deadline is not None and time.monotonic() > deadline:
+                settled = observe_outcomes(self, sub.keys)
+                raise FabricTimeout(
+                    [sub.keys[i][:12] for i in range(len(sub.jobs))
+                     if i not in settled])
+            self.step()
+            time.sleep(self.poll_interval)
+        return self.refresh(sub)
 
     # -- the campaign entry point ---------------------------------------
 
@@ -560,17 +809,17 @@ class Coordinator:
         Returns the same :class:`~repro.harness.suite.SuiteResult` a
         serial ``characterize_suite`` call produces — results in spec
         order out of the shared store, failures as structured records —
-        regardless of how many workers served it or died serving it.
+        regardless of how many workers (or coordinators) served it or
+        died serving it.  Does not resign the seat on return.
         """
         from repro.harness.runner import Fidelity
-        from repro.harness.suite import SuiteResult
 
         fidelity = fidelity or Fidelity.default()
         jobs = [JobSpec(spec=spec, machine=machine, fidelity=fidelity,
                         seed=seed, run_kwargs=run_kwargs)
                 for spec in specs]
         if manifest is None:
-            manifest = CampaignManifest(self.root / MANIFEST_NAME)
+            manifest = self.manifest
         elif not isinstance(manifest, CampaignManifest):
             manifest = CampaignManifest(manifest)
         fingerprint = code_fingerprint()
@@ -579,15 +828,12 @@ class Coordinator:
         with obs.span("fabric.campaign", machine=machine.name,
                       workloads=len(jobs)):
             sub = self.submit(jobs, fingerprint)
-            for i, (status, payload) in sub.outcomes.items():
+            for i, (status, _) in sub.outcomes.items():
                 # store-dedup hits settle before any unit exists
-                if manifest is not None and status == "done":
+                if status == "done":
                     manifest.record(sub.keys[i], jobs[i].name, "done")
             self.wait(sub, manifest, timeout=timeout,
                       should_stop=should_stop)
-
-        if sub.sid is not None:
-            self.mark_settled(sub.sid)
         return self.collect(jobs, sub.keys, sub.outcomes, machine)
 
     def collect(self, jobs, keys, outcomes, machine):
@@ -599,23 +845,25 @@ class Coordinator:
         """
         from repro.harness.suite import SuiteResult
 
+        def read(key):
+            result = self.store.get(key)
+            if result is None:
+                raise FileNotFoundError(key)
+            return result
+
         out = SuiteResult(machine=machine)
         for i, (job, key) in enumerate(zip(jobs, keys)):
             status, payload = outcomes[i]
             if status == "failed":
                 out.failures.append(payload)
                 continue
-            result = None
-            for delay in (0.0, 0.1, 0.5, 1.0):
-                if delay:
-                    time.sleep(delay)
-                result = self.store.get(key)
-                if result is not None:
-                    break
-            if result is None:
+            try:
+                result = retry_call(lambda: read(key),
+                                    policy=_COLLECT_POLICY)
+            except OSError:
                 raise RuntimeError(
                     f"unit for {job.name} reported done but key "
-                    f"{key[:12]} is missing from the store")
+                    f"{key[:12]} is missing from the store") from None
             out.results.append(result)
         return out
 

@@ -18,7 +18,10 @@ framework.  Endpoints:
     Body: ``{"benchmarks": [...]}`` or ``{"suite": "dotnet"}``, plus
     optional ``machine`` (preset name), ``instructions``, ``warmup``,
     ``seed``.  Replies with the request id, per-workload keys, and
-    whether the whole request was served from the store.
+    whether the whole request was served from the store.  The service
+    coordinates only while it holds the coordinator seat; while another
+    process leads, that leader adopts the persisted request and the
+    service streams what it settles.
 ``GET /requests/<id>``
     Settlement status; includes per-workload summaries once done.
 ``GET /requests/<id>/stream``
@@ -50,9 +53,8 @@ import time
 from dataclasses import asdict
 
 from repro import obs
-from repro.exec.campaign import CampaignManifest
 from repro.exec.jobs import JobSpec, code_fingerprint
-from repro.fabric.coordinator import MANIFEST_NAME, Coordinator
+from repro.fabric.coordinator import Coordinator
 from repro.harness.runner import Fidelity
 from repro.obs import timeseries
 from repro.obs.metrics import labeled
@@ -123,7 +125,7 @@ class _Request:
         self.finished = threading.Event()
         self._reported: set[int] = set()
 
-    def absorb(self, store) -> None:
+    def absorb(self) -> None:
         """Turn newly settled outcomes into stream events."""
         for i, (status, payload) in sorted(self.sub.outcomes.items()):
             if i in self._reported:
@@ -150,7 +152,7 @@ class _Request:
             "machine": self.machine,
             "total": len(self.jobs),
             "settled": len(self.sub.outcomes),
-            "pending": len(self.sub.pending),
+            "pending": len(self.jobs) - len(self.sub.outcomes),
             "status": "done" if self.finished.is_set() else "running",
         }
         if self.finished.is_set():
@@ -173,14 +175,17 @@ class _Request:
 
 
 class CharacterizationService:
-    """The HTTP front-end over one :class:`Coordinator`."""
+    """The HTTP front-end over one :class:`Coordinator`.
+
+    The pump ticks the coordinator (:meth:`Coordinator.step`) while any
+    request is open or the seat is ours — so it stands for the seat,
+    and coordinates only while it holds it — and turns settlements into
+    stream events.  Health and metrics views never touch the election.
+    """
 
     def __init__(self, coordinator: Coordinator, *,
-                 manifest: CampaignManifest | None = None,
                  pump_interval: float = 0.05):
         self.coordinator = coordinator
-        self.manifest = manifest or CampaignManifest(
-            coordinator.root / MANIFEST_NAME)
         self.pump_interval = pump_interval
         self._requests: dict[str, _Request] = {}
         self._lock = threading.Lock()
@@ -214,33 +219,35 @@ class CharacterizationService:
                          "deduplicated": True,
                          "status": ("done" if existing.finished.is_set()
                                     else "running")}, 200)
+            manifest = self.coordinator.manifest
             with obs.span("fabric.request", parent=parent,
                           request=req_id, workloads=len(jobs)):
-                self.manifest.begin(fingerprint, total=len(jobs))
+                manifest.begin(fingerprint, total=len(jobs))
                 sub = self.coordinator.submit(jobs, fingerprint)
             for i, (status, _) in sub.outcomes.items():
                 if status == "done":
-                    self.manifest.record(sub.keys[i], jobs[i].name,
-                                         "done")
+                    manifest.record(sub.keys[i], jobs[i].name, "done")
             req = _Request(req_id, sub, jobs, machine.name)
-            req.absorb(self.coordinator.store)
+            req.absorb()
             self._requests[req_id] = req
         hit = sub.dedup_hits == len(jobs)
         if hit:
             obs.add("fabric.service_store_hits")
         return ({"request": req_id, "keys": keys,
-                 "enqueued": len(sub.pending), "store_hits":
+                 "enqueued": len(jobs) - sub.dedup_hits, "store_hits":
                  sub.dedup_hits, "served_from_store": hit,
                  "status": "done" if sub.done else "running"}, 202)
 
     def _pump(self) -> None:
         while not self._stop.wait(self.pump_interval):
             with self._lock:
-                for req in self._requests.values():
-                    if req.finished.is_set():
-                        continue
-                    self.coordinator.poll(req.sub, self.manifest)
-                    req.absorb(self.coordinator.store)
+                live = [req for req in self._requests.values()
+                        if not req.finished.is_set()]
+                if live or self.coordinator.is_leader:
+                    self.coordinator.step()
+                for req in live:
+                    self.coordinator.refresh(req.sub)
+                    req.absorb()
 
     def start(self) -> None:
         if self._pump_thread is None:
@@ -253,6 +260,7 @@ class CharacterizationService:
         if self._pump_thread is not None:
             self._pump_thread.join(timeout=5.0)
             self._pump_thread = None
+        self.coordinator.resign()
 
     # -- views -----------------------------------------------------------
 

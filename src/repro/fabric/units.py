@@ -49,7 +49,7 @@ class WorkUnit:
     span: tuple[str, str] | None = None
     #: expected seconds at submission (telemetry; None = never observed)
     estimate: float | None = None
-    #: leader epoch that (re)enqueued this unit (None = unfenced)
+    #: leader epoch that (re)enqueued this unit
     epoch: int | None = None
 
     @property

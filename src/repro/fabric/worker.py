@@ -48,8 +48,7 @@ from repro.exec.backend import StoreBackend
 from repro.exec.campaign import WorkloadFailure
 from repro.exec.costmodel import CostModel
 from repro.exec.pool import JobFailure, run_jobs
-from repro.exec.resilience import (CircuitBreaker, RetryPolicy,
-                                   retry_call)
+from repro.exec.resilience import CircuitBreaker, WRITE_POLICY, retry_call
 from repro.exec.store import ResultStore
 from repro.fabric.coordinator import STORE_DIR, fabric_backend
 from repro.fabric.lease import LeaseLedger
@@ -58,9 +57,6 @@ from repro.obs.spans import SpanContext
 
 #: default seconds between lease/worker heartbeat renewals
 DEFAULT_HEARTBEAT = 1.0
-
-#: retry discipline for ledger/store writes before degrading
-_WRITE_POLICY = RetryPolicy(retries=2, backoff=0.05, deadline=2.0)
 
 
 def default_worker_id() -> str:
@@ -204,7 +200,7 @@ class _DegradedStore:
             return retry_call(
                 lambda: self._breaker.call(
                     lambda: self._store.put(key, value)),
-                policy=_WRITE_POLICY)
+                policy=WRITE_POLICY)
         except OSError:
             self._spool.put_result(key, value)
             self.spooled_keys.add(key)
@@ -222,7 +218,6 @@ class WorkerAgent:
                  worker_id: str | None = None, shared: bool = False,
                  heartbeat_interval: float = DEFAULT_HEARTBEAT,
                  poll_interval: float = 0.05,
-                 max_retries: int = 3, retry_backoff: float = 0.1,
                  job_timeout: float | None = None,
                  spool_dir: str | Path | None = None):
         backend = fabric_backend(root, shared=shared)
@@ -236,8 +231,6 @@ class WorkerAgent:
         self.costs = CostModel.for_store(self.store)
         self.heartbeat_interval = heartbeat_interval
         self.poll_interval = poll_interval
-        self.max_retries = max_retries
-        self.retry_backoff = retry_backoff
         self.job_timeout = job_timeout
         self.breaker = CircuitBreaker(threshold=5, cooldown=2.0)
         if spool_dir is None:
@@ -297,8 +290,7 @@ class WorkerAgent:
                 outcome = run_jobs(
                     [unit.job], n_jobs=1, store=self._degraded,
                     catch=(Exception,), timeout=self.job_timeout,
-                    max_retries=self.max_retries,
-                    retry_backoff=self.retry_backoff,
+                    max_retries=3, retry_backoff=0.1,
                     cost_model=self.costs)[0]
         finally:
             self._seq = beat.stop()
@@ -337,7 +329,7 @@ class WorkerAgent:
             try:
                 retry_call(
                     lambda: self.ledger.complete(unit.unit_id, record),
-                    policy=_WRITE_POLICY)
+                    policy=WRITE_POLICY)
             except OSError:
                 # store is fine but the ledger write is not — keep the
                 # record locally and replay it later

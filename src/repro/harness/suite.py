@@ -4,8 +4,8 @@ A suite run is the unit the paper's campaigns are built from, so this
 layer carries the campaign failure model: ``on_error`` selects whether
 a failed workload aborts the batch (``"raise"``, the historical
 default), degrades into a structured :class:`WorkloadFailure` record on
-``SuiteResult.failures`` (``"skip"``), or gets transient-failure
-retries with backoff before degrading (``"retry"``).  A
+``SuiteResult.failures`` (``"skip"``), or gets more transient-failure
+retries before degrading (``"retry"``).  A
 :class:`~repro.exec.campaign.CampaignManifest` journals every settled
 job, and ``should_stop`` (typically wired to SIGINT via
 :func:`~repro.exec.campaign.graceful_shutdown`) stops the run early
@@ -84,7 +84,6 @@ def characterize_suite(specs: list[WorkloadSpec], machine: MachineConfig,
                        progress=None, jobs: int = 1, store=None,
                        reporter=None, on_error: str = "raise",
                        max_retries: int | None = None,
-                       retry_backoff: float = 0.0,
                        manifest=None, should_stop=None,
                        **run_kwargs) -> SuiteResult:
     """Run every spec on ``machine`` and collect the results.
@@ -110,14 +109,11 @@ def characterize_suite(specs: list[WorkloadSpec], machine: MachineConfig,
     is raised.
     """
     from repro.exec.campaign import (PERMANENT, CampaignInterrupted,
-                                     WorkloadFailure)
+                                     WorkloadFailure, retry_budget)
     from repro.exec.jobs import JobSpec, code_fingerprint
     from repro.exec.pool import JobFailure, run_jobs
 
-    if on_error not in ("raise", "skip", "retry"):
-        raise ValueError(f"unknown on_error policy {on_error!r}")
-    if max_retries is None:
-        max_retries = 3 if on_error == "retry" else 1
+    max_retries = retry_budget(on_error, max_retries)
 
     fidelity = fidelity or Fidelity.default()
     jobspecs = [JobSpec(spec=spec, machine=machine, fidelity=fidelity,
@@ -150,8 +146,7 @@ def characterize_suite(specs: list[WorkloadSpec], machine: MachineConfig,
         sub_outcomes = run_jobs(
             [jobspecs[i] for i in pending], n_jobs=jobs, store=store,
             progress=progress, reporter=reporter, catch=catch,
-            max_retries=max_retries, retry_backoff=retry_backoff,
-            should_stop=should_stop)
+            max_retries=max_retries, should_stop=should_stop)
 
     outcomes: list = [None] * total
     for i, outcome in zip(pending, sub_outcomes):

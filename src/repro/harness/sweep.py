@@ -85,7 +85,6 @@ def sweep(spec: WorkloadSpec, machine: MachineConfig, axes: list[Axis],
           fidelity: Fidelity | None = None,
           catch: tuple[type, ...] = (), jobs: int = 1, store=None,
           on_error: str = "raise", max_retries: int | None = None,
-          retry_backoff: float = 0.0,
           **base_run_kwargs) -> SweepResult:
     """Run ``spec`` at every point of the axis product.
 
@@ -102,13 +101,11 @@ def sweep(spec: WorkloadSpec, machine: MachineConfig, axes: list[Axis],
     ``catch`` types, ``"retry"`` additionally raises the transient
     retry budget (``max_retries`` defaults to 3 there, 1 otherwise).
     """
+    from repro.exec.campaign import retry_budget
     from repro.exec.jobs import JobSpec
     from repro.exec.pool import JobFailure, run_jobs
 
-    if on_error not in ("raise", "skip", "retry"):
-        raise ValueError(f"unknown on_error policy {on_error!r}")
-    if max_retries is None:
-        max_retries = 3 if on_error == "retry" else 1
+    max_retries = retry_budget(on_error, max_retries)
     if on_error != "raise":
         catch = (Exception,)
 
@@ -131,8 +128,7 @@ def sweep(spec: WorkloadSpec, machine: MachineConfig, axes: list[Axis],
         jobspecs.append(JobSpec(spec=s, machine=m, fidelity=fidelity,
                                 run_kwargs=run_kwargs))
     outcomes = run_jobs(jobspecs, n_jobs=jobs, store=store, catch=catch,
-                        max_retries=max_retries,
-                        retry_backoff=retry_backoff)
+                        max_retries=max_retries)
     for combo, outcome in zip(combos, outcomes):
         if isinstance(outcome, JobFailure):
             result.failures[combo] = outcome.error

@@ -12,8 +12,9 @@ import pytest
 
 from repro.exec.campaign import (CampaignInterrupted, CampaignManifest,
                                  graceful_shutdown)
-from repro.exec.chaos import (ChaosConfig, ChaosExecutor, ChaosStore,
-                              doomed, injected, roll)
+from repro.exec.chaos import (BackendChaosConfig, ChaosBackend,
+                              ChaosConfig, ChaosExecutor, doomed,
+                              injected, roll)
 from repro.exec.jobs import JobSpec, code_fingerprint
 from repro.exec.store import ResultStore
 from repro.harness.runner import Fidelity
@@ -82,38 +83,13 @@ class TestOnceMarkers:
                 executor(Job())
 
 
-class TestChaosStore:
-    def test_corrupted_write_is_detected_as_miss(self, tmp_path):
-        cfg = ChaosConfig(seed=0, corrupt_rate=1.0, once=False)
-        store = ChaosStore(tmp_path, cfg)
-        store.put("a" * 64, {"payload": 1})
-        clean = ResultStore(tmp_path)
-        assert clean.get("a" * 64, "MISS") == "MISS"
-        assert clean.stats().corrupt == 1   # quarantined, not deleted
-
-    def test_truncated_write_is_detected_as_miss(self, tmp_path):
-        cfg = ChaosConfig(seed=0, truncate_rate=1.0, once=False)
-        store = ChaosStore(tmp_path, cfg)
-        store.put("b" * 64, list(range(100)))
-        clean = ResultStore(tmp_path)
-        assert clean.get("b" * 64, "MISS") == "MISS"
-        assert clean.stats().corrupt == 1
-
-    def test_undoomed_writes_survive(self, tmp_path):
-        cfg = ChaosConfig(seed=0, corrupt_rate=0.5, once=False)
-        store = ChaosStore(tmp_path, cfg)
-        keys = [f"{i:02x}" * 32 for i in range(16)]
-        for k in keys:
-            store.put(k, {"k": k})
-        bad = set(store.doomed_keys("corrupt", keys))
-        assert 0 < len(bad) < len(keys)
-        clean = ResultStore(tmp_path)
-        for k in keys:
-            value = clean.get(k, "MISS")
-            assert (value == "MISS") == (k in bad)
+def _chaos_store(root, seed):
+    """A result store whose backend corrupts ~10% of its writes."""
+    return ResultStore(backend=ChaosBackend(
+        root, BackendChaosConfig(seed=seed, corrupt_rate=0.1)))
 
 
-def _pick_chaos_seed(kind, names, keys, doomed_names_of):
+def _pick_chaos_seed(kind, names, keys, doomed_names_of, store_root):
     """Find a chaos seed where the configured rates actually doom a
     proper subset of jobs AND at least one store key of a surviving job
     (keys are fingerprint-dependent, so this must be computed, not
@@ -121,9 +97,12 @@ def _pick_chaos_seed(kind, names, keys, doomed_names_of):
     for seed in range(500):
         cfg = ChaosConfig(seed=seed)
         bad_jobs = doomed_names_of(cfg)
+        store = _chaos_store(store_root, seed)
+        entries = {store.path_for(k).name: k for k in keys}
+        corrupted = {entries[e] for e in
+                     store.backend.doomed_names("corrupt", entries)}
         bad_keys = [k for k, n in zip(keys, names)
-                    if doomed(cfg, "corrupt", 0.1, k)
-                    and n not in bad_jobs]
+                    if k in corrupted and n not in bad_jobs]
         if 1 <= len(bad_jobs) <= len(names) - 2 and bad_keys:
             return seed, set(bad_jobs), set(bad_keys)
     pytest.fail(f"no usable chaos seed for kind={kind}")
@@ -145,16 +124,16 @@ class TestCampaignSurvivesChaos:
         keys = [JobSpec(spec=s, machine=machine,
                         fidelity=FID).cache_key(fingerprint)
                 for s in specs]
+        store_root = tmp_path / "cache"
         seed, doomed_jobs, doomed_keys = _pick_chaos_seed(
             kind, names, keys,
-            lambda cfg: {n for n in names if doomed(cfg, kind, 0.2, n)})
+            lambda cfg: {n for n in names if doomed(cfg, kind, 0.2, n)},
+            store_root)
         cfg = ChaosConfig(
             seed=seed, once=False,
             crash_rate=0.2 if kind == "crash" else 0.0,
-            flaky_rate=0.2 if kind == "flaky" else 0.0,
-            corrupt_rate=0.1)
+            flaky_rate=0.2 if kind == "flaky" else 0.0)
 
-        store_root = tmp_path / "cache"
         manifest_path = tmp_path / "campaign.jsonl"
         completions = {"n": 0}
 
@@ -168,7 +147,7 @@ class TestCampaignSurvivesChaos:
             with pytest.raises(CampaignInterrupted) as excinfo:
                 characterize_suite(
                     specs, machine, FID, jobs=jobs,
-                    store=ChaosStore(store_root, cfg),
+                    store=_chaos_store(store_root, seed),
                     on_error="skip", progress=progress,
                     manifest=CampaignManifest(manifest_path),
                     should_stop=stop.is_set)
@@ -179,7 +158,7 @@ class TestCampaignSurvivesChaos:
         with injected(cfg):
             partial = characterize_suite(
                 specs, machine, FID, jobs=jobs,
-                store=ChaosStore(store_root, cfg), on_error="skip",
+                store=_chaos_store(store_root, seed), on_error="skip",
                 manifest=CampaignManifest(manifest_path))
         assert {f.name for f in partial.failures} == doomed_jobs
         assert all(f.classification == "transient"

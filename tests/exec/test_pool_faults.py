@@ -10,8 +10,7 @@ import pytest
 import repro.exec.pool as pool_mod
 from repro.exec.chaos import ChaosConfig, ChaosExecutor, injected
 from repro.exec.jobs import JobSpec
-from repro.exec.pool import (JobFailure, JobTimeout, WorkerCrash,
-                             _backoff_seconds, run_jobs)
+from repro.exec.pool import JobFailure, JobTimeout, WorkerCrash, run_jobs
 from repro.harness.runner import Fidelity
 from repro.uarch.machine import get_machine
 from repro.workloads.dotnet import dotnet_category_specs
@@ -192,11 +191,27 @@ class TestGracefulStop:
 
 
 class TestBackoff:
-    def test_backoff_schedule_is_exponential(self):
-        assert _backoff_seconds(0.0, 1) == 0.0
-        assert _backoff_seconds(0.1, 1) == pytest.approx(0.1)
-        assert _backoff_seconds(0.1, 2) == pytest.approx(0.2)
-        assert _backoff_seconds(0.1, 3) == pytest.approx(0.4)
+    def test_backoff_schedule_is_exponential(self, monkeypatch):
+        # the sleeps run_jobs takes between attempts of a job that
+        # raises OSError every time, for the worker's and the harness's
+        # (max_retries, retry_backoff)
+        monkeypatch.setattr(pool_mod, "_execute",
+                            lambda job: (_ for _ in ()).throw(
+                                OSError("weather")))
+
+        def sleeps(backoff):
+            taken = []
+            with monkeypatch.context() as m:
+                m.setattr(pool_mod.time, "sleep", taken.append)
+                (failure,) = run_jobs(make_jobs(1), n_jobs=1,
+                                      catch=(Exception,), max_retries=3,
+                                      retry_backoff=backoff)
+            assert type(failure.error) is OSError     # not wrapped
+            assert failure.attempts == 4
+            return taken
+
+        assert sleeps(0.1) == pytest.approx([0.1, 0.2, 0.4])
+        assert all(delay == 0.0 for delay in sleeps(0.0))
 
     def test_serial_retry_waits_out_backoff(self, monkeypatch):
         monkeypatch.setattr(pool_mod, "_execute",

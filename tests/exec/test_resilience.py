@@ -64,11 +64,13 @@ class TestRetryCall:
             calls["n"] += 1
             raise OSError("down")
 
-        with pytest.raises(BackendUnavailable):
+        with pytest.raises(BackendUnavailable) as err:
             retry_call(down, policy=RetryPolicy(
                 retries=50, backoff=10.0, max_backoff=10.0,
                 deadline=0.01))
         assert calls["n"] == 1      # the first sleep would blow it
+        # the report names the attempts made, not the budget
+        assert "after 1 attempt(s)" in str(err.value)
 
     def test_non_retryable_errors_propagate_untouched(self):
         def bug():
@@ -149,6 +151,25 @@ class TestCircuitBreaker:
         assert breaker.state == "open"
         clock.advance(4.9)
         assert breaker.state == "open"      # a fresh full cooldown
+
+    def test_probe_raising_a_non_oserror_frees_the_probe_slot(self):
+        # e.g. a damaged spool file: ValueError/UnpicklingError from
+        # the worker's flush probe must not wedge the breaker shut
+        clock = _Clock()
+        breaker = CircuitBreaker(threshold=2, cooldown=1.0, clock=clock)
+        for _ in range(2):
+            with pytest.raises(OSError):
+                breaker.call(_raise_eio)
+        clock.advance(1.0)
+
+        def damaged():
+            raise ValueError("damaged spool file")
+
+        with pytest.raises(ValueError):
+            breaker.call(damaged)
+        clock.advance(1.0)
+        assert breaker.call(lambda: "ok") == "ok"   # a fresh probe
+        assert breaker.state == "closed"
 
     def test_exactly_one_probe_is_admitted(self):
         breaker, clock = self._tripped()

@@ -4,11 +4,12 @@ import errno
 
 import pytest
 
+import repro.exec.backend as backend_mod
 from repro.exec.backend import (LocalDirBackend, SharedDirBackend,
                                 backend_for)
 from repro.exec.chaos import BackendChaosConfig, ChaosBackend
 from repro.exec.resilience import BackendUnavailable, RetryPolicy, retry_call
-from repro.exec.store import ResultStore
+from repro.exec.store import ResultStore, StoreCorruption
 
 KEY = "a" * 64
 
@@ -111,6 +112,52 @@ class TestFaults:
         assert clean.get(KEY) is None   # and stays a plain miss
 
 
+@pytest.mark.parametrize("kind", ["corrupt", "torn"])
+class TestDamagedStoreEntries:
+    """Damage that reports success: a flipped byte (the store's CRC
+    check catches it) or a truncation (its length check does)."""
+
+    def test_damaged_write_is_detected_as_miss(self, tmp_path, kind):
+        store = ResultStore(backend=_chaos(tmp_path,
+                                           **{f"{kind}_rate": 1.0}))
+        store.put(KEY, {"payload": list(range(100))})
+        clean = ResultStore(backend=LocalDirBackend(tmp_path / "store"))
+        assert clean.get(KEY, "MISS") == "MISS"
+
+    def test_damaged_write_is_quarantined(self, tmp_path, kind):
+        store = ResultStore(backend=_chaos(tmp_path,
+                                           **{f"{kind}_rate": 1.0}))
+        store.put(KEY, {"payload": list(range(100))})
+        clean = ResultStore(backend=LocalDirBackend(tmp_path / "store"))
+        clean.get(KEY)
+        assert clean.stats().corrupt == 1   # quarantined, not deleted
+
+    def test_damage_trips_its_own_frame_check(self, tmp_path, kind):
+        # torn fails the length check, corrupt (full length) the CRC,
+        # so between them both checks stay exercised
+        store = ResultStore(backend=_chaos(tmp_path,
+                                           **{f"{kind}_rate": 1.0}))
+        path = store.put(KEY, {"payload": list(range(100))})
+        with pytest.raises(StoreCorruption,
+                           match={"corrupt": "CRC",
+                                  "torn": "length"}[kind]):
+            ResultStore._check_frame(path.read_bytes())
+
+    def test_undamaged_writes_survive(self, tmp_path, kind):
+        backend = _chaos(tmp_path, **{f"{kind}_rate": 0.5})
+        store = ResultStore(backend=backend)
+        keys = [f"{i:02x}" * 32 for i in range(16)]
+        for k in keys:
+            store.put(k, {"k": k})
+        bad = set(backend.doomed_names(
+            kind, [store.path_for(k).name for k in keys]))
+        assert 0 < len(bad) < len(keys)
+        clean = ResultStore(backend=LocalDirBackend(tmp_path / "store"))
+        for k in keys:
+            value = clean.get(k, "MISS")
+            assert (value == "MISS") == (store.path_for(k).name in bad)
+
+
 class TestStaleReadDiscipline:
     """Satellite: the shared backend bounds its ESTALE retry loop."""
 
@@ -129,34 +176,44 @@ class TestStaleReadDiscipline:
         monkeypatch.setattr(Path, "read_bytes", maybe_stale)
         return calls
 
+    def _policy(self, monkeypatch, **fields):
+        monkeypatch.setattr(backend_mod, "STALE_READ_POLICY",
+                            RetryPolicy(**fields))
+
     def test_persistent_staleness_raises_typed_after_budget(
             self, tmp_path, monkeypatch):
-        backend = SharedDirBackend(tmp_path / "store", stale_retries=3,
-                                   stale_backoff=0.001,
-                                   stale_deadline=10.0)
+        self._policy(monkeypatch, retries=3, backoff=0.001,
+                     deadline=10.0)
+        backend = SharedDirBackend(tmp_path / "store")
         target = backend.root / "entry"
         target.parent.mkdir(parents=True, exist_ok=True)
         target.write_bytes(b"x")
         calls = self._stale_patch(monkeypatch, target, fail_times=99)
         with pytest.raises(BackendUnavailable):
             backend.read_bytes(target)
-        assert calls["n"] == 4      # first try + stale_retries
+        assert calls["n"] == 4      # first try + policy retries
 
     def test_staleness_that_heals_succeeds(self, tmp_path, monkeypatch):
-        backend = SharedDirBackend(tmp_path / "store", stale_retries=5,
-                                   stale_backoff=0.001,
-                                   stale_deadline=10.0)
+        self._policy(monkeypatch, retries=5, backoff=0.001,
+                     deadline=10.0)
+        backend = SharedDirBackend(tmp_path / "store")
         target = backend.root / "entry"
         target.parent.mkdir(parents=True, exist_ok=True)
         target.write_bytes(b"fresh")
         self._stale_patch(monkeypatch, target, fail_times=2)
         assert backend.read_bytes(target) == b"fresh"
 
+    def test_default_policy_budget(self):
+        policy = backend_mod.STALE_READ_POLICY
+        assert list(policy.delays()) == pytest.approx(
+            [0.02, 0.04, 0.08, 0.16, 0.32])
+        assert policy.max_backoff == 0.5 and policy.deadline == 2.0
+
     def test_hard_deadline_cuts_the_retry_budget(self, tmp_path,
                                                  monkeypatch):
-        backend = SharedDirBackend(tmp_path / "store", stale_retries=50,
-                                   stale_backoff=0.05,
-                                   stale_deadline=0.0)
+        self._policy(monkeypatch, retries=50, backoff=0.05,
+                     deadline=0.0)
+        backend = SharedDirBackend(tmp_path / "store")
         target = backend.root / "entry"
         target.parent.mkdir(parents=True, exist_ok=True)
         target.write_bytes(b"x")

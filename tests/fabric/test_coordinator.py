@@ -73,6 +73,16 @@ class TestSubmit:
         # unknown-cost jobs (1, 2) outrank even a 100s known job
         assert [by_rank[r] for r in sorted(by_rank)] == [1, 2, 0]
 
+    def test_resubmitting_a_tracked_batch_enqueues_nothing(
+            self, tmp_path, specs, machine):
+        coord = _coord(tmp_path)
+        jobs = make_jobs(specs, machine)
+        first = coord.submit(jobs)
+        queued = sorted(p.name for _, p in coord.ledger.queue_entries())
+        assert coord.submit(jobs) is first
+        assert sorted(p.name for _, p in coord.ledger.queue_entries()) \
+            == queued
+
 
 class TestCampaign:
     def test_fleet_matches_serial_bit_identical(self, tmp_path, specs,
@@ -121,6 +131,57 @@ class TestCampaign:
         assert failure.name == bad
         assert failure.classification == PERMANENT
         assert failure.error_type == "ValueError"
+
+    def test_rerun_after_a_failure_reopens_the_submission(
+            self, tmp_path, specs, machine, monkeypatch):
+        import repro.exec.pool as pool_mod
+        bad = specs[1].name
+        real = execute_job
+
+        def failing(job):
+            if job.name == bad:
+                raise ValueError("synthetic model error")
+            return real(job)
+
+        monkeypatch.setattr(pool_mod, "_execute", failing)
+        coord = _coord(tmp_path)
+        _worker_thread(tmp_path, idle_exit=4.0)
+        first = coord.run_campaign(specs, machine, FID, timeout=120.0)
+        # the failed key is still a store miss, so the identical batch
+        # re-opens its settled submission rather than trusting the marker
+        second = coord.run_campaign(specs, machine, FID, timeout=120.0)
+        assert second.names == first.names
+        assert [f.name for f in second.failures] == [bad]
+
+    def test_rerun_from_a_new_coordinator_runs_the_failed_job_again(
+            self, tmp_path, specs, machine, monkeypatch):
+        import repro.exec.pool as pool_mod
+        bad = specs[1].name
+        real = execute_job
+        calls = []
+
+        def failing(job):
+            if job.name == bad:
+                calls.append(job.name)
+                raise ValueError("synthetic model error")
+            return real(job)
+
+        monkeypatch.setattr(pool_mod, "_execute", failing)
+        _worker_thread(tmp_path, idle_exit=4.0)
+        first = _coord(tmp_path, coordinator_id="cA",
+                       coordinator_ttl=0.3)
+        first.run_campaign(specs, machine, FID, timeout=120.0)
+        assert first.is_leader          # left holding the seat
+        # a later process waits out the silent seat, then adopts the
+        # re-opened batch: the earlier failure does not settle it
+        second = _coord(tmp_path, coordinator_id="cB",
+                        coordinator_ttl=0.3)
+        suite = second.run_campaign(specs, machine, FID, timeout=120.0)
+        assert second.election.current() == ("cB", 2)
+        assert calls == [bad, bad]
+        assert [f.name for f in suite.failures] == [bad]
+        assert [r.spec.name for r in suite.results] \
+            == [s.name for s in specs if s.name != bad]
 
     def test_campaign_journals_units(self, tmp_path, specs, machine):
         coord = _coord(tmp_path)

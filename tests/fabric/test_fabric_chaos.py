@@ -23,8 +23,8 @@ import pytest
 from repro.exec.jobs import JobSpec, code_fingerprint
 from repro.harness.runner import Fidelity
 from repro.harness.suite import characterize_suite
-from repro.fabric.coordinator import Coordinator, submission_id
-from repro.fabric.ha import observe_outcomes
+from repro.fabric.coordinator import (Coordinator, observe_outcomes,
+                                      submission_id)
 
 # Heavy enough that units take visible wall-clock time, so the victim
 # is reliably mid-unit when the kill lands.
@@ -142,7 +142,7 @@ def _spawn_coordinator(root, role, coordinator_id, bench, log):
                *bench, "--machine", "i9",
                "--instructions", str(CHAOS_FID.measure_instructions),
                "--warmup", str(CHAOS_FID.warmup_instructions),
-               "--ha", "--coordinator-id", coordinator_id,
+               "--coordinator-id", coordinator_id,
                "--coordinator-ttl", "1.0", "--lease-ttl", "1.0",
                "--timeout", "600"]
     else:

@@ -6,8 +6,8 @@ import time
 import pytest
 
 from repro import obs
-from repro.fabric.coordinator import Coordinator
-from repro.fabric.ha import HACoordinator, observe_outcomes
+from repro.exec.campaign import TRANSIENT, WorkloadFailure
+from repro.fabric.coordinator import Coordinator, observe_outcomes
 from repro.fabric.lease import (Election, LeadershipLost, LeaseLedger,
                                 default_coordinator_id)
 from repro.fabric.worker import WorkerAgent
@@ -120,14 +120,34 @@ class TestFencing:
         after = [p.name for _, p in coord.ledger.queue_entries()]
         assert after == before
 
-    def test_unfenced_coordinator_ignores_the_election(
+    def test_coordinator_without_an_epoch_is_fenced_out(
             self, tmp_path, specs, machine):
-        # pre-HA single-coordinator mode: epoch None disables fencing
-        coord = Coordinator(tmp_path / "fab", lease_ttl=5.0,
-                            poll_interval=0.01)
-        sub = coord.submit(make_jobs(specs[:1], machine))
-        assert coord.election._claim("cX", 5)
-        coord.poll(sub)                     # does not raise
+        # no "fencing disabled" mode: while a live leader holds the
+        # seat, a coordinator that never won it may not mutate anything
+        leader = self._leader(tmp_path)
+        sub = leader.submit(make_jobs(specs[:1], machine))
+        leader.election.heartbeat("cA", 1, seq=1)
+        before = sorted(p.name for _, p in leader.ledger.queue_entries())
+        outsider = Coordinator(tmp_path / "fab", coordinator_id="cX",
+                               lease_ttl=5.0, poll_interval=0.01)
+        with pytest.raises(LeadershipLost):
+            outsider.poll(sub)
+        with pytest.raises(LeadershipLost):
+            outsider.adopt(sub.sid)
+        assert outsider.epoch is None
+        after = sorted(p.name for _, p in leader.ledger.queue_entries())
+        assert after == before
+        assert leader.election.current() == ("cA", 1)
+
+
+def _successor(tmp_path, cid="cB", **kw):
+    """A standby that won the dead leader's seat (the next epoch)."""
+    coord = Coordinator(tmp_path / "fab", coordinator_id=cid,
+                        poll_interval=0.01, **kw)
+    epoch = coord.election.current()[1] + 1
+    assert coord.election._claim(cid, epoch)
+    coord.epoch = epoch
+    return coord
 
 
 class TestAdoption:
@@ -151,8 +171,7 @@ class TestAdoption:
                             heartbeat_interval=0.1, poll_interval=0.01)
         assert agent.serve_one()            # one unit finishes
         # coordA dies here; a standby reconstructs from disk alone
-        coordB = Coordinator(tmp_path / "fab", coordinator_id="cB",
-                             lease_ttl=5.0, poll_interval=0.01)
+        coordB = _successor(tmp_path, lease_ttl=5.0)
         adopted = coordB.adopt(sub.sid)
         assert adopted.keys == sub.keys
         done = [i for i, (s, _) in adopted.outcomes.items()
@@ -181,8 +200,7 @@ class TestAdoption:
         coordA.ledger.complete(unit_id, {
             "unit": unit_id, "status": "done", "key": sub.keys[0],
             "name": jobs[0].name})
-        coordB = Coordinator(tmp_path / "fab", coordinator_id="cB",
-                             poll_interval=0.01)
+        coordB = _successor(tmp_path)
         adopted = coordB.adopt(sub.sid)
         assert not coordB.ledger.done_path(unit_id).exists()
         assert adopted.outcomes == {}
@@ -198,8 +216,7 @@ class TestAdoption:
         sub = coordA.submit(jobs)
         for _, path in coordA.ledger.queue_entries():
             path.unlink()                   # the torn-submit aftermath
-        coordB = Coordinator(tmp_path / "fab", coordinator_id="cB",
-                             poll_interval=0.01)
+        coordB = _successor(tmp_path)
         adopted = coordB.adopt(sub.sid)
         assert len(adopted.pending) == len(jobs)
         assert len(coordB.ledger.queue_entries()) == len(jobs)
@@ -212,19 +229,57 @@ class TestAdoption:
         (unit_id,) = sub.pending
         assert coordA.ledger.claim(unit_id, "wBusy")
         coordA.ledger.remove_queued(unit_id)
-        coordB = Coordinator(tmp_path / "fab", coordinator_id="cB",
-                             poll_interval=0.01)
+        coordB = _successor(tmp_path)
         adopted = coordB.adopt(sub.sid)
         assert list(adopted.pending) == [unit_id]
         assert adopted.pending[unit_id].index == 0
+
+    def test_adopt_ignores_failures_recorded_before_the_batch_opened(
+            self, tmp_path, specs, machine):
+        coordA = Coordinator(tmp_path / "fab", coordinator_id="cA",
+                             poll_interval=0.01)
+        jobs = make_jobs(specs[:1], machine)
+        sub = coordA.submit(jobs)
+        (old_unit,) = sub.pending
+        # the first campaign's unit expired for good: settled failed
+        coordA.ledger.complete(old_unit, {
+            "unit": old_unit, "status": "failed", "key": sub.keys[0],
+            "name": jobs[0].name, "failure": WorkloadFailure(
+                name=jobs[0].name, error_type="LeaseExpired",
+                message="expired", classification=TRANSIENT,
+                key=sub.keys[0]).to_json()})
+        coordA.poll(sub)
+        coordA.mark_settled(sub.sid)
+        coordA.election.heartbeat("cA", 1, seq=1)
+        # a new process re-runs the batch without the seat: re-opened
+        rerun = Coordinator(tmp_path / "fab", coordinator_id="cN",
+                            poll_interval=0.01).submit(jobs)
+        assert rerun.pending == {} and rerun.outcomes == {}
+        assert sub.sid in coordA.open_submissions()
+        coordB = _successor(tmp_path)
+        adopted = coordB.adopt(sub.sid)
+        assert adopted.outcomes == {}
+        (new_unit,) = adopted.pending
+        assert new_unit != old_unit
+        assert [uid for uid, _ in coordB.ledger.queue_entries()] \
+            == [new_unit]
+
+    def test_adopt_keeps_duplicate_jobs_apart(self, tmp_path, specs,
+                                              machine):
+        coordA = Coordinator(tmp_path / "fab", coordinator_id="cA",
+                             poll_interval=0.01)
+        sub = coordA.submit(make_jobs([specs[0], specs[0]], machine))
+        assert {p.index for p in sub.pending.values()} == {0, 1}
+        adopted = _successor(tmp_path).adopt(sub.sid)
+        assert {p.index for p in adopted.pending.values()} == {0, 1}
+        assert set(adopted.pending) == set(sub.pending)
 
     def test_adopt_continues_the_unit_id_sequence(self, tmp_path, specs,
                                                   machine):
         coordA = Coordinator(tmp_path / "fab", coordinator_id="cA",
                              poll_interval=0.01)
         sub = coordA.submit(make_jobs(specs, machine))
-        coordB = Coordinator(tmp_path / "fab", coordinator_id="cB",
-                             poll_interval=0.01)
+        coordB = _successor(tmp_path)
         coordB.adopt(sub.sid)
         assert coordB._seq >= coordA._seq
 
@@ -233,34 +288,34 @@ class TestHAFailover:
     def test_standby_takes_over_and_finishes(self, tmp_path, specs,
                                              machine, metrics):
         root = tmp_path / "fab"
-        leader = HACoordinator(root, coordinator_id="cL",
-                               coordinator_ttl=0.4, lease_ttl=2.0,
-                               poll_interval=0.01)
+        leader = Coordinator(root, coordinator_id="cL",
+                             coordinator_ttl=0.4, lease_ttl=2.0,
+                             poll_interval=0.01)
         assert leader.step()
-        assert leader.is_leader and leader.coord.epoch == 1
+        assert leader.is_leader and leader.epoch == 1
         jobs = make_jobs(specs, machine)
-        sub = leader.coord.submit(jobs)
+        sub = leader.submit(jobs)
         assert leader.step()        # adopts its own open submission
         # the leader "dies" (never steps again); a standby watches
-        standby = HACoordinator(root, coordinator_id="cS",
-                                coordinator_ttl=0.4, lease_ttl=2.0,
-                                poll_interval=0.01)
+        standby = Coordinator(root, coordinator_id="cS",
+                              coordinator_ttl=0.4, lease_ttl=2.0,
+                              poll_interval=0.01)
         agent = WorkerAgent(root, worker_id="wT",
                             heartbeat_interval=0.1, poll_interval=0.01)
         deadline = time.monotonic() + 120.0
-        while not standby.coord.is_settled(sub.sid):
+        while not standby.is_settled(sub.sid):
             assert time.monotonic() < deadline
             agent.serve_one()
             standby.step()
             time.sleep(0.02)
-        assert standby.is_leader and standby.coord.epoch == 2
+        assert standby.is_leader and standby.epoch == 2
         # the zombie's next tick demotes it instead of corrupting
         assert leader.step() is False
         assert not leader.is_leader
         counters = obs.metrics_snapshot()["counters"]
         assert counters["fabric.leadership_lost"] >= 1
-        outcomes = observe_outcomes(standby.coord, sub.keys)
-        suite = standby.coord.collect(jobs, sub.keys, outcomes, machine)
+        outcomes = observe_outcomes(standby, sub.keys)
+        suite = standby.collect(jobs, sub.keys, outcomes, machine)
         assert [r.spec.name for r in suite.results] \
             == [s.name for s in specs]
         assert suite.failures == []
@@ -272,9 +327,9 @@ class TestHAFailover:
         from tests.fabric.conftest import FID
 
         root = tmp_path / "fab"
-        ha = HACoordinator(root, coordinator_id="cSolo",
-                           coordinator_ttl=0.5, lease_ttl=2.0,
-                           poll_interval=0.01)
+        ha = Coordinator(root, coordinator_id="cSolo",
+                         coordinator_ttl=0.5, lease_ttl=2.0,
+                         poll_interval=0.01)
         agent = WorkerAgent(root, worker_id="wT",
                             heartbeat_interval=0.1, poll_interval=0.01)
         worker = threading.Thread(
@@ -290,21 +345,70 @@ class TestHAFailover:
 
     def test_idle_run_loop_resigns_on_exit(self, tmp_path):
         root = tmp_path / "fab"
-        ha = HACoordinator(root, coordinator_id="cR",
-                           coordinator_ttl=0.2, poll_interval=0.01)
+        ha = Coordinator(root, coordinator_id="cR",
+                         coordinator_ttl=0.2, poll_interval=0.01)
         ha.run(idle_exit=0.1)
         assert ha.is_leader             # won the empty seat while up
         # resignation makes the next takeover immediate, no ttl wait
         successor = Election(LeaseLedger(root))
         assert successor.try_takeover("cQ", ttl=999.0) == 2
 
+    def test_standbys_lists_live_unresigned_peers(self, tmp_path):
+        root = tmp_path / "fab"
+        leader = Coordinator(root, coordinator_id="cL",
+                             coordinator_ttl=0.3, poll_interval=0.01)
+        assert leader.step()
+        assert leader.standbys() == []
+
+        def standby(cid):
+            coord = Coordinator(root, coordinator_id=cid,
+                                coordinator_ttl=60.0, poll_interval=0.01)
+            assert coord.step() is False    # heartbeats once, waits
+            return coord
+
+        standby("cS")
+        assert leader.standbys() == ["cS"]
+        time.sleep(0.4)                 # silent past the leader's ttl
+        assert leader.standbys() == []
+        standby("cT").election.resign("cT")
+        assert leader.standbys() == []
+
+    def test_lone_run_resigns_so_the_next_run_leads_at_once(
+            self, tmp_path, specs):
+        import threading
+
+        from repro.fabric.cli import main
+        from tests.fabric.conftest import FID
+
+        root = tmp_path / "fab"
+        agent = WorkerAgent(root, worker_id="wT",
+                            heartbeat_interval=0.1, poll_interval=0.01)
+        worker = threading.Thread(
+            target=lambda: agent.run(max_units=2, idle_exit=30.0),
+            daemon=True)
+        worker.start()
+
+        def run(bench, cid):
+            return main(["run", str(root), bench, "--machine", "i9",
+                         "--instructions", str(FID.measure_instructions),
+                         "--warmup", str(FID.warmup_instructions),
+                         "--coordinator-id", cid,
+                         "--coordinator-ttl", "60", "--timeout", "30"])
+
+        assert run(specs[0].name, "cR1") == 0
+        # nobody stood by, so the first run handed the seat over: the
+        # second leads at once instead of waiting out the 60 s ttl
+        assert run(specs[1].name, "cR2") == 0
+        worker.join(timeout=30.0)
+        assert Election(LeaseLedger(root)).current() == ("cR2", 2)
+
     def test_healthz_surfaces_leader_and_coordinators(self, tmp_path,
                                                       specs, machine):
         from repro.fabric.service import CharacterizationService
 
         root = tmp_path / "fab"
-        ha = HACoordinator(root, coordinator_id="cH",
-                           coordinator_ttl=0.4, poll_interval=0.01)
+        ha = Coordinator(root, coordinator_id="cH",
+                         coordinator_ttl=0.4, poll_interval=0.01)
         assert ha.step()
         service = CharacterizationService(
             Coordinator(root, poll_interval=0.01))

@@ -157,6 +157,41 @@ class TestEndToEnd:
         assert events[-1]["done"] == 2 and events[-1]["failed"] == 0
 
 
+    def test_request_settles_while_another_process_holds_the_seat(
+            self, tmp_path, fabric):
+        # the service only coordinates from the seat; here a standby
+        # loop already holds it, adopts the persisted request, and the
+        # service streams what that leader settles
+        coordinator, _, server = fabric
+        leader = Coordinator(tmp_path / "fab", coordinator_id="cOther",
+                             lease_ttl=5.0, poll_interval=0.01)
+        assert leader.step() and leader.epoch == 1
+        stop = threading.Event()
+        lead = threading.Thread(target=leader.run,
+                                kwargs={"should_stop": stop.is_set},
+                                daemon=True)
+        lead.start()
+        _spawn_worker(tmp_path)
+        try:
+            status, first = _post(server.url + "/characterize", BODY)
+            assert status == 202 and not first["served_from_store"]
+            events = []
+            with urllib.request.urlopen(
+                    server.url + f"/requests/{first['request']}/stream",
+                    timeout=120) as resp:
+                for line in resp:
+                    events.append(json.loads(line))
+        finally:
+            stop.set()
+            lead.join(timeout=30.0)
+        kinds = [e["event"] for e in events]
+        assert kinds.count("settled") == 2
+        assert kinds[-1] == "request-done"
+        assert events[-1]["done"] == 2 and events[-1]["failed"] == 0
+        assert not coordinator.is_leader
+        assert coordinator.election.current() == ("cOther", 1)
+
+
 class TestHttpSurface:
     def test_healthz_reports_fleet(self, tmp_path, fabric):
         _, _, server = fabric
