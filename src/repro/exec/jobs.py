@@ -102,10 +102,12 @@ def code_fingerprint(root: str | Path | None = None, *,
                      refresh: bool = False) -> str:
     """Stable hash of the simulator source tree.
 
-    Hashes the path and content of every ``*.py`` file under ``root``
-    (default: the installed ``repro`` package directory) in sorted
-    order.  The result is memoized per root for the life of the process
-    — pass ``refresh=True`` to rehash after on-disk changes.
+    Hashes the path and content of every ``*.py`` and ``*.c`` file
+    under ``root`` (default: the installed ``repro`` package directory)
+    in sorted order, so an edit to the native kernel's sources
+    invalidates results it computed.  The result is memoized per root
+    for the life of the process — pass ``refresh=True`` to rehash after
+    on-disk changes.
     """
     if root is None:
         import repro
@@ -114,7 +116,7 @@ def code_fingerprint(root: str | Path | None = None, *,
     if not refresh and root in _FINGERPRINTS:
         return _FINGERPRINTS[root]
     digest = hashlib.sha256()
-    for path in sorted(root.rglob("*.py")):
+    for path in sorted([*root.rglob("*.py"), *root.rglob("*.c")]):
         digest.update(path.relative_to(root).as_posix().encode())
         digest.update(b"\0")
         digest.update(path.read_bytes())

@@ -52,9 +52,10 @@ _SLACK = 1.10
 
 #: generation-side subtrees/modules, relative to the ``repro`` package —
 #: the microarchitecture (uarch/, most of perf/, harness/, exec/) never
-#: influences the op stream and must not invalidate traces
-_TRACE_SOURCES = ("trace.py", "seeding.py", "codegen.py", "workloads",
-                  "runtime", "kernel", "perf/trace_io.py")
+#: influences the op stream and must not invalidate traces.  ``_walk.c``
+#: is the native walk; the consume kernel it is built with is not here.
+_TRACE_SOURCES = ("trace.py", "seeding.py", "codegen.py", "_walk.c",
+                  "workloads", "runtime", "kernel", "perf/trace_io.py")
 
 _TRACE_FPRINT: dict[Path, str] = {}
 

@@ -62,18 +62,19 @@ def file_identity(path) -> tuple | None:
 def _owned_copy(buf):
     """A buffer whose columns own their memory.
 
-    List-backed buffers already do; zero-copy (memoryview) columns are
-    copied byte-for-byte into fresh memoryviews, preserving the exact
+    Generated buffers' ``array('q')`` columns already do and pass
+    through; zero-copy ``memoryview`` columns (over a trace file or its
+    mmap) are copied byte-for-byte into fresh memoryviews of the same
+    format — uint8 opcodes, int64 arguments — preserving the exact
     indexing semantics (native Python ints out).
     """
     from repro.trace import TraceBuffer
-    if isinstance(buf.a0, list):
+    cols = (buf.kinds, buf.a0, buf.a1, buf.a2)
+    if not any(isinstance(col, memoryview) for col in cols):
         return buf
     return TraceBuffer.from_columns(
-        memoryview(bytes(buf.kinds)),
-        memoryview(bytes(buf.a0)).cast("q"),
-        memoryview(bytes(buf.a1)).cast("q"),
-        memoryview(bytes(buf.a2)).cast("q"),
+        *(memoryview(bytes(col)).cast(col.format)
+          if isinstance(col, memoryview) else col for col in cols),
         buf.events, buf.n_instructions)
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from repro.codegen import CodeRegion, MixProfile
+from repro.codegen import CodeRegion, MixProfile, ReuseRing
 from repro.seeding import stable_seed
 from repro.trace import REGION_KERNEL_CODE_BASE, REGION_KERNEL_DATA_BASE
 
@@ -100,7 +100,7 @@ class SyscallModel:
         self._buf_base = self._meta_base + self._meta_bytes
         # Per-connection kernel structures are revisited heavily within a
         # syscall (sk_buff headers, socket state): burst-reuse ring.
-        self._meta_ring: list[int] = []
+        self._meta = ReuseRing(self._meta_base, self._meta_bytes // _LINE)
 
     # ------------------------------------------------------------------
     def _acquire_buffer(self) -> int:
@@ -127,21 +127,7 @@ class SyscallModel:
         """
         prof = _PROFILES[kind]
         region = self._regions[kind]
-        meta_base = self._meta_base
-        meta_lines = self._meta_bytes // _LINE
-        ring = self._meta_ring
-
-        def meta_load() -> int:
-            if ring and rng.random() < 0.90:
-                return ring[int(rng.random() * len(ring))]
-            addr = meta_base + int(rng.random() ** 2 * meta_lines) * _LINE
-            if len(ring) >= 8:
-                ring.pop(0)
-            ring.append(addr)
-            return addr
-
-        region.walk_into(buf, rng, prof.base_instructions,
-                         load_addr=meta_load, store_addr=meta_load,
+        region.walk_into(buf, rng, prof.base_instructions, self._meta,
                          is_kernel=True, entry=0)
         if prof.touches_buffers and payload_bytes > 0:
             self._copy_loop_into(buf, region, payload_bytes, user_buffer,

@@ -22,15 +22,17 @@ a0-a2  3 × ``n_ops`` int64 arrays (raw column dumps)
 events ``ev_len`` bytes: pickled ``[(kind, payload), ...]``
 =====  ==================================================================
 
-Storing the SoA columns verbatim makes decode nearly free: the reader
-exposes each column as a zero-copy ``memoryview`` slice of the file
-bytes (``.cast("q")`` for the int64 columns), so no per-op boxing or
-list materialization happens at all.  Indexing a memoryview yields a
-native Python ``int`` — exactly what the list-backed columns held — so
-the consume loops are bit-identical either way.  Event payloads survive
-the round trip (pickled side-table), which matters for bit-identity:
-JIT metadata events carry ``(base, size)`` payloads the pipeline
-consumes.
+Storing the SoA columns verbatim makes both directions nearly free.
+The writer dumps the buffer's ``array('q')`` int64 columns as they are
+(only the opcodes narrow to a byte each), with no per-op conversion.
+The reader exposes each column as a zero-copy ``memoryview`` slice of
+the file bytes (``.cast("q")`` for the int64 columns), so no per-op
+boxing or list materialization happens at all.  Indexing a memoryview
+yields a native Python ``int`` — exactly what the generated columns
+hold — so the consume loops are bit-identical either way.  Event
+payloads survive the round trip (pickled side-table), which matters
+for bit-identity: JIT metadata events carry ``(base, size)`` payloads
+the pipeline consumes.
 
 By default the file is opened via ``mmap`` and chunks are decoded
 lazily while the map's already-consumed pages are released with
@@ -74,6 +76,12 @@ _BRANCH = struct.Struct("<QQB")
 _ADDR = struct.Struct("<Q")
 _EVENT = struct.Struct("<B")
 
+#: The int64 columns are little-endian on disk: a little-endian host
+#: writes its arrays' bytes as they are and reads them back through
+#: memoryview.cast("q"); big-endian swaps on write and falls back to a
+#: copying np.frombuffer decode (same values, still no .tolist()).
+_NATIVE_LE = sys.byteorder == "little"
+
 _KIND_TO_IDX = {k: i for i, k in enumerate(RUNTIME_EVENT_KINDS)}
 _OTHER_KIND = 0xFF
 
@@ -94,12 +102,13 @@ class TraceFormatError(ValueError):
 # ----------------------------------------------------------------------
 
 def _write_chunk(fh, buf: TraceBuffer) -> None:
+    """Encode one buffer.  Its int64 columns are written as they are
+    (a little-endian host writes the arrays' own bytes); only the
+    opcodes narrow to one byte each."""
     n_ops = len(buf.kinds)
     try:
-        kinds = np.asarray(buf.kinds, dtype=np.uint8)
-        a0 = np.asarray(buf.a0, dtype=np.int64)
-        a1 = np.asarray(buf.a1, dtype=np.int64)
-        a2 = np.asarray(buf.a2, dtype=np.int64)
+        kinds, a0, a1, a2 = (np.asarray(col, dtype=np.int64)
+                             for col in (buf.kinds, buf.a0, buf.a1, buf.a2))
     except (OverflowError, ValueError) as exc:
         raise TraceWriteError(f"op column not encodable: {exc}") from exc
     blocks = kinds == OP_BLOCK
@@ -108,10 +117,9 @@ def _write_chunk(fh, buf: TraceBuffer) -> None:
     ev_blob = pickle.dumps(buf.events, protocol=pickle.HIGHEST_PROTOCOL)
     fh.write(bytes((_CHUNK_TAG,)))
     fh.write(_CHUNK.pack(n_ops, buf.n_instructions, len(ev_blob)))
-    fh.write(kinds.tobytes())
-    fh.write(a0.tobytes())
-    fh.write(a1.tobytes())
-    fh.write(a2.tobytes())
+    fh.write(kinds.astype(np.uint8))
+    for col in (a0, a1, a2):
+        fh.write(col if _NATIVE_LE else col.astype("<i8"))
     fh.write(ev_blob)
 
 
@@ -165,7 +173,7 @@ def record(ops, path, max_instructions: int | None = None) -> int:
             buf = TraceBuffer()
             try:
                 done = buf.fill_from(ops_iter, take)
-            except ValueError as exc:
+            except (OverflowError, ValueError) as exc:
                 raise TraceWriteError(str(exc)) from exc
             if buf.kinds:
                 yield buf
@@ -194,11 +202,6 @@ def _read_header(fh) -> int:
         raise TraceFormatError(f"unsupported version {version}")
     return version
 
-
-#: memoryview.cast("q") reinterprets little-endian bytes only on a
-#: little-endian host; big-endian falls back to a copying np.frombuffer
-#: decode (same values, still no .tolist()).
-_NATIVE_LE = sys.byteorder == "little"
 
 _PAGE = mmap.PAGESIZE
 _MADV_DONTNEED = getattr(mmap, "MADV_DONTNEED", None)

@@ -13,7 +13,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from repro.codegen import CodeRegion, MixProfile
+from repro.codegen import (CodeRegion, ConstAddress, MixProfile,
+                           UniformLines)
 from repro.kernel.syscalls import SyscallModel, SyscallKind
 from repro.runtime.gc import GarbageCollector, GcConfig
 from repro.seeding import stable_seed
@@ -131,7 +132,10 @@ class Clr:
         self.live_set = LongLivedSet(long_lived_count, long_lived_slot, base)
         self.gc.check_heap_fits(long_lived_count * long_lived_slot
                                 + cold_live_bytes)
-        self._stack_ptr = REGION_STACK_BASE
+        # The unwinder reads frames near the stack top; a contended lock
+        # spins on one word.
+        self._unwind_frames = UniformLines(REGION_STACK_BASE, 64)
+        self._lock_word = ConstAddress(REGION_STACK_BASE + 0x10000)
 
     # -- method management ----------------------------------------------
     def register_method(self, method: Method) -> None:
@@ -245,26 +249,14 @@ class Clr:
         """First-chance exception: unwinder walk through CLR code."""
         self.stats.exceptions_thrown += 1
         buf.event(EV_EXCEPTION, None)
-        rng = self.rng
-        sp = self._stack_ptr
-
-        def stack_addr() -> int:
-            return sp + int(rng.random() * 64) * 64
-
         self.image.regions["exception"].walk_into(
-            buf, rng, 2200, load_addr=stack_addr, store_addr=stack_addr)
+            buf, self.rng, 2200, self._unwind_frames)
 
     def contend_lock_into(self, buf) -> None:
         """Contended monitor enter: spin, then futex into the kernel."""
         self.stats.contentions += 1
         buf.event(EV_CONTENTION, None)
-        rng = self.rng
-        lock_addr = REGION_STACK_BASE + 0x10000
-
-        def lock_load() -> int:
-            return lock_addr
-
         self.image.regions["threading"].walk_into(
-            buf, rng, 600, load_addr=lock_load, store_addr=lock_load)
+            buf, self.rng, 600, self._lock_word)
         if self.syscalls is not None:
-            self.syscalls.emit_into(buf, SyscallKind.FUTEX, rng)
+            self.syscalls.emit_into(buf, SyscallKind.FUTEX, self.rng)

@@ -15,7 +15,10 @@ The model tracks two populations:
 from __future__ import annotations
 
 import random
+from array import array
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro.trace import REGION_HEAP_BASE
 
@@ -55,7 +58,10 @@ class LongLivedSet:
     """Addresses of the persistent object working set.
 
     ``addrs[i]`` is the current address of logical object ``i``; the
-    access-pattern layer indexes this list with a Zipf-like distribution.
+    access-pattern layer indexes it with a Zipf-like distribution.  It
+    is an ``array('q')`` updated in place and never resized or rebound:
+    the native walk reads it by address
+    (:class:`repro.workloads.program.DataModel`).
     ``spread_span`` reports how many bytes of address space the set covers
     — packed it equals ``count * slot``, fragmented it can be many times
     larger.
@@ -64,7 +70,8 @@ class LongLivedSet:
     def __init__(self, count: int, slot_bytes: int, base: int) -> None:
         self.count = count
         self.slot_bytes = slot_bytes
-        self.addrs: list[int] = [base + i * slot_bytes for i in range(count)]
+        self.addrs = array("q", [base + i * slot_bytes
+                                 for i in range(count)])
         self.packed_base = base
 
     def compact(self, new_base: int) -> list[tuple[int, int]]:
@@ -84,7 +91,8 @@ class LongLivedSet:
 
     def scattered_indices(self, gen0_base: int) -> list[int]:
         """Objects currently living outside gen2 (churned -> in gen0)."""
-        return [i for i, a in enumerate(self.addrs) if a >= gen0_base]
+        addrs = np.frombuffer(self.addrs, dtype=np.int64)
+        return np.flatnonzero(addrs >= gen0_base).tolist()
 
     def compact_scattered(self, gen0_base: int, alloc,
                           stride_slots: int = 1) -> list[tuple[int, int]]:

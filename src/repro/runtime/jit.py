@@ -18,7 +18,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from repro.codegen import CodeRegion, MixProfile
+from repro.codegen import CodeRegion, HotColdLines, MixProfile
 from repro.trace import (EV_JIT_STARTED, EV_JIT_CODE_EMITTED,
                          EV_JIT_CODE_MOVED, REGION_JIT_CODE_BASE)
 
@@ -93,6 +93,10 @@ class JitCompiler:
         self.code_bloat = code_bloat
         self.rng = random.Random(seed)
         self.stats = JitStats()
+        # Compile-time metadata reads: hot shared tables (type system,
+        # token maps: 192 lines, ~12 KiB) reused by every compile, and
+        # the compiled method's own slice.
+        self._meta = HotColdLines(metadata_base, 192)
 
     def _alloc_code(self, size: int) -> int:
         addr = self._code_ptr
@@ -110,23 +114,12 @@ class JitCompiler:
                    + self.INSTR_PER_CODE_BYTE * emitted_size)
         if tier >= 1:
             work = int(work * 1.6)        # optimizing tier does more analysis
-        rng = self.rng
-        meta_base = self.metadata_base
-        # Hot shared tables (type system, token maps): ~12 KiB, reused by
-        # every compile.  The method's own IL/metadata slice is small and
-        # compulsory-misses once per first compile — exactly the real mix.
-        hot_lines = 192
-        il_base = (meta_base + self.metadata_bytes
-                   + method.id * 2048)
-        il_lines = max(4, min(32, method.size_bytes // 64))
-
-        def meta_addr() -> int:
-            if rng.random() < 0.8:
-                return meta_base + int(rng.random() ** 2 * hot_lines) * 64
-            return il_base + int(rng.random() * il_lines) * 64
-
-        self.code.walk_into(buf, rng, work, load_addr=meta_addr,
-                            store_addr=meta_addr)
+        # The method's own IL/metadata slice is small and compulsory-
+        # misses once per first compile — exactly the real mix.
+        self._meta.retarget(
+            self.metadata_base + self.metadata_bytes + method.id * 2048,
+            max(4, min(32, method.size_bytes // 64)))
+        self.code.walk_into(buf, self.rng, work, self._meta)
         old_region = method.region
         if old_region is not None and self.reuse_code_pages:
             new_base = old_region.base

@@ -30,7 +30,7 @@ Buffered form
 -------------
 
 Generators push ops straight into a :class:`TraceBuffer`, which holds
-them in structure-of-arrays form — four parallel columns (opcode,
+them in structure-of-arrays form — four parallel int64 columns (opcode,
 arg0..arg2) plus an event side-table — and both consume engines read
 those columns (:meth:`repro.uarch.pipeline.Core.consume_stream`).
 :class:`TraceBufferStream` chunks a push generator, a trace replay or a
@@ -47,6 +47,8 @@ uniqueness.
 """
 
 from __future__ import annotations
+
+from array import array
 
 import numpy as np
 
@@ -114,7 +116,7 @@ BLOCK_NBYTES_MASK = _KERNEL_BIT - 1
 class TraceBuffer:
     """One chunk of trace operations in structure-of-arrays form.
 
-    Columns (parallel Python lists, one entry per op):
+    Columns (parallel ``array('q')`` int64 arrays, one entry per op):
 
     ======== ============== ============== ==============================
     opcode   a0             a1             a2
@@ -129,19 +131,26 @@ class TraceBuffer:
     Event ``(kind, payload)`` pairs live in the ``events`` side-table,
     indexed by a0 — payloads are arbitrary Python objects and must not
     constrain the hot columns.
+
+    The columns expose the buffer protocol, so the native walk appends
+    to them in bulk and the kernel, the trace encoder and
+    :meth:`color_private` view them as numpy arrays without a per-op
+    conversion; indexing one still yields a Python ``int``.  A buffer
+    is complete once it is consumed or recorded: a live numpy view
+    (the kernel caches one) makes ``array`` refuse to grow.
     """
 
     __slots__ = ("kinds", "a0", "a1", "a2", "events", "n_instructions",
                  "_vcols")
 
     def __init__(self) -> None:
-        self.kinds: list[int] = []
-        self.a0: list[int] = []
-        self.a1: list[int] = []
-        self.a2: list[int] = []
+        self.kinds = array("q")
+        self.a0 = array("q")
+        self.a1 = array("q")
+        self.a2 = array("q")
         self.events: list[tuple] = []
         self.n_instructions = 0
-        # The native kernel's int64 copies of the columns, cached by
+        # The native kernel's int64 views of the columns, cached by
         # repro.uarch.native._columns; invalidated when a column changes.
         self._vcols = None
 
@@ -263,11 +272,12 @@ class TraceBuffer:
 
         Per-core address coloring for multicore runs (see
         :func:`repro.harness.runner.run_multicore`): one vectorized mask
-        over the chunk.
+        over the chunk.  The colored column is a new array: the old one
+        may be a read-only replay view or shared with a cache.
         """
         if not color or not len(self.kinds):
             return
-        kinds = np.asarray(self.kinds, dtype=np.int64)
+        kinds = np.asarray(self.kinds)
         a0 = np.asarray(self.a0, dtype=np.int64)
         mem = (kinds == OP_LOAD) | (kinds == OP_STORE)
         in_span = np.zeros(len(a0), dtype=bool)
@@ -275,21 +285,20 @@ class TraceBuffer:
             in_span |= (a0 >= lo) & (a0 < hi)
         mask = mem & in_span
         if mask.any():
-            if not a0.flags.writeable:       # zero-copy replay column
-                a0 = a0.copy()
-            a0[mask] += color
-            self.a0 = a0.tolist()
+            a0 = a0 + np.where(mask, color, 0)
+            self.a0 = array("q")
+            self.a0.frombytes(a0.view(np.uint8))
             self._vcols = None
 
     @classmethod
     def from_columns(cls, kinds, a0, a1, a2, events,
                      n_instructions: int) -> "TraceBuffer":
-        """Adopt prebuilt columns (lists, arrays or memoryviews) verbatim.
+        """Adopt prebuilt columns (arrays, memoryviews or lists) verbatim.
 
         The zero-copy decode path of :mod:`repro.perf.trace_io` hands
         ``memoryview`` columns over the trace file bytes; indexing one
         yields a native Python ``int``, so the consume loops see exactly
-        the values the list-backed columns would hold.
+        the values the generated columns hold.
         """
         buf = cls.__new__(cls)
         buf.kinds = kinds

@@ -6,7 +6,10 @@ compiler and loaded via ctypes.  Python owns every byte of simulator
 state as numpy arrays: :class:`CoreImage` exports a
 :class:`~repro.uarch.pipeline.Core` into flat arrays that the kernel
 mutates in place, and results are bit-identical to the legacy engine,
-the reference interpreter.
+the reference interpreter.  The same library carries trace
+generation's region layout and walk (``repro/_walk.c``, see
+:mod:`repro.codegen` and :func:`generator`): two sources, one build,
+one cache entry.
 
 **Resident images: books and structure.**  A core is exported once, on
 its first native consume, and its image stays attached to it (as
@@ -48,12 +51,14 @@ than falling back:
 When the kernel is unavailable (no compiler, ``REPRO_NATIVE=0``) or the
 core uses a configuration the kernel does not model (subclassed shared
 LLC, JIT metadata reactions, non-stock geometry), the run delegates to
-the legacy interpreter: same results, 11-35x slower.  Delegation is
-never silent — it is counted in :data:`delegations` (and the
-``native.delegations{reason=...}`` metric) and warned about once per
-process; :func:`last_error` keeps the reason the kernel failed to load.
-Under ``REPRO_NATIVE=require`` it raises :class:`DelegationError`
-instead, for CI and benchmarks.
+the legacy interpreter: same results, 11-35x slower.  Without the
+kernel, trace generation's walks delegate to the Python reference walk
+too.  Delegation is never silent — each delegated consume call or walk
+is counted in :data:`delegations` (and the
+``native.delegations{reason=...}`` metric) and the first is warned
+about once per process; :func:`last_error` keeps the reason the kernel
+failed to load.  Under ``REPRO_NATIVE=require`` it raises
+:class:`DelegationError` instead, for CI and benchmarks.
 """
 
 from __future__ import annotations
@@ -210,9 +215,13 @@ def ops_retired() -> int:
 # ---------------------------------------------------------------------------
 # Kernel build & load.
 
-_SRC_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                         "_kernel.c")
+_HERE = os.path.dirname(os.path.abspath(__file__))
+#: The library's two translation units: the consume kernel and the
+#: code-region walker (:mod:`repro.codegen`'s native twin).
+_SOURCES = (os.path.join(_HERE, "_kernel.c"),
+            os.path.join(os.path.dirname(_HERE), "_walk.c"))
 _CFLAGS = ["-O2", "-fPIC", "-shared", "-ffp-contract=off"]
+_LDLIBS = ["-lm"]
 
 _lib = None
 _lib_resolved = False
@@ -220,7 +229,8 @@ _lib_error: str | None = None
 _lib_lock = threading.Lock()
 
 #: ``engine="vector"`` consume calls that ran on the legacy interpreter,
-#: by reason: ``unavailable`` (no kernel) or ``not_nativizable`` (a core
+#: by reason: ``unavailable`` (no kernel; region walks that ran on the
+#: Python walker count here too) or ``not_nativizable`` (a core
 #: configuration the kernel does not model).
 delegations = {"unavailable": 0, "not_nativizable": 0}
 _delegation_warned = False
@@ -243,15 +253,17 @@ def _compiler_identity(cc: str) -> bytes | None:
 
 
 def _compile_lib():
-    with open(_SRC_PATH, "rb") as f:
-        src = f.read()
+    srcs = []
+    for path in _SOURCES:
+        with open(path, "rb") as f:
+            srcs.append(f.read())
     try:
         uid = os.getuid()
     except AttributeError:  # pragma: no cover - non-posix
         uid = 0
     cache_dir = os.path.join(tempfile.gettempdir(), f"repro-native-{uid}")
     os.makedirs(cache_dir, mode=0o700, exist_ok=True)
-    flags = " ".join(_CFLAGS).encode()
+    flags = " ".join(_CFLAGS + _LDLIBS).encode()
     so_path = None
     failures = []
     for cc in [os.environ.get("CC"), "cc", "gcc", "clang"]:
@@ -262,8 +274,8 @@ def _compile_lib():
             failures.append(f"{cc}: not found")
             continue
         # Content-addressed by everything that shapes the binary:
-        # source, CFLAGS, and the compiler's identity.
-        tag = hashlib.sha256(b"\0".join((src, flags, ident))) \
+        # sources, flags, and the compiler's identity.
+        tag = hashlib.sha256(b"\0".join((*srcs, flags, ident))) \
             .hexdigest()[:16]
         candidate = os.path.join(cache_dir, f"kernel-{tag}.so")
         if os.path.exists(candidate):
@@ -271,7 +283,8 @@ def _compile_lib():
             break
         tmp = f"{candidate}.tmp.{os.getpid()}"
         try:
-            res = subprocess.run([cc, *_CFLAGS, "-o", tmp, _SRC_PATH],
+            res = subprocess.run([cc, *_CFLAGS, "-o", tmp, *_SOURCES,
+                                  *_LDLIBS],
                                  capture_output=True, timeout=120)
         except (OSError, subprocess.SubprocessError) as exc:
             failures.append(f"{cc}: {exc}")
@@ -347,8 +360,9 @@ class DelegationError(RuntimeError):
     ``REPRO_NATIVE=require``."""
 
 
-def note_delegation(reason: str) -> None:
-    """Count one delegated consume call; warn on the first per process.
+def note_delegation(reason: str, walk: bool = False) -> None:
+    """Count one delegated consume call (or, with ``walk``, one region
+    walk on the Python walker); warn on the first per process.
 
     Under ``REPRO_NATIVE=require`` raise :class:`DelegationError`
     instead, naming the reason and :func:`last_error`, so a run that
@@ -358,19 +372,53 @@ def note_delegation(reason: str) -> None:
     delegations[reason] += 1
     if obs.enabled():
         obs.add(labeled("native.delegations", reason=reason))
-    detail = last_error() if reason == "unavailable" else \
-        "core configuration outside the kernel's model"
+    fallback = "engine 'vector' is running on the legacy interpreter"
+    if reason == "unavailable":
+        detail = last_error()
+        fallback += " and trace generation on the Python walker"
+    else:
+        detail = "core configuration outside the kernel's model"
     if os.environ.get("REPRO_NATIVE") == "require":
+        what = ("trace generation would run on the Python walker" if walk
+                else "engine 'vector' would run on the legacy interpreter")
         raise DelegationError(
-            f"engine 'vector' would run on the legacy interpreter "
-            f"({reason}: {detail}) and REPRO_NATIVE=require forbids it; "
-            f"native.last_error() = {last_error()!r}")
+            f"{what} ({reason}: {detail}) and REPRO_NATIVE=require "
+            f"forbids it; native.last_error() = {last_error()!r}")
     if not _delegation_warned:
         _delegation_warned = True
         warnings.warn(
-            f"engine 'vector' is running on the legacy interpreter "
-            f"({reason}: {detail}); results are identical but 11-35x "
-            f"slower", RuntimeWarning, stacklevel=3)
+            f"{fallback} ({reason}: {detail}); results are identical but "
+            f"11-35x slower", RuntimeWarning, stacklevel=3)
+
+
+_generator = (None, None)
+
+
+def generator():
+    """The kernel library bound for trace generation — ``repro_layout``
+    and ``repro_walk`` of ``_walk.c`` — or ``None`` when the kernel is
+    unavailable.
+
+    Resolved at the first code region, through the same build and cache
+    as the consume kernel.  Bound through :class:`ctypes.PyDLL`: a
+    layout or a walk takes microseconds and never calls back into
+    Python, so it keeps the GIL rather than release and re-take it
+    around every call.
+    """
+    global _generator
+    lib = get_lib()
+    if lib is None:
+        return None
+    bound_to, gen = _generator
+    if bound_to is not lib:
+        gen = ctypes.PyDLL(lib._name)
+        ll, vp, dbl = ctypes.c_longlong, ctypes.c_void_p, ctypes.c_double
+        gen.repro_layout.restype = ll
+        gen.repro_layout.argtypes = [ll] * 6 + [dbl] * 6 + [vp, vp]
+        gen.repro_walk.restype = ll
+        gen.repro_walk.argtypes = [vp, vp, vp, vp, ll, ll, ll, ll, vp]
+        _generator = (lib, gen)
+    return gen
 
 
 # ---------------------------------------------------------------------------
@@ -1150,17 +1198,18 @@ class CoreImage:
 def _columns(buf):
     """Contiguous int64 column arrays for a trace buffer.
 
-    Cached on ``buf._vcols`` keyed by op count, so replayed buffers pay
-    the conversion once; ``color_private`` invalidates the cache.
+    Zero-copy views of int64 columns (generated ``array('q')`` columns
+    and replayed ``memoryview`` ones); a replayed chunk's uint8 opcode
+    column is the one conversion.  Cached on ``buf._vcols`` keyed by op
+    count, so hook re-entries and replays pay it once;
+    ``color_private`` invalidates the cache.
     """
     n = len(buf.kinds)
     cached = buf._vcols
     if cached is not None and cached[0] == n:
         return cached[1]
-    kinds = np.ascontiguousarray(np.asarray(buf.kinds, dtype=np.int64))
-    a0 = np.ascontiguousarray(np.asarray(buf.a0, dtype=np.int64))
-    a1 = np.ascontiguousarray(np.asarray(buf.a1, dtype=np.int64))
-    a2 = np.ascontiguousarray(np.asarray(buf.a2, dtype=np.int64))
+    kinds, a0, a1, a2 = (np.ascontiguousarray(col, dtype=np.int64)
+                         for col in (buf.kinds, buf.a0, buf.a1, buf.a2))
     n_ev = int(np.count_nonzero(kinds == 4))
     cols = (kinds, a0, a1, a2, n_ev)
     buf._vcols = (n, cols)

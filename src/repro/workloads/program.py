@@ -19,8 +19,10 @@ instruction count at the consuming side.
 from __future__ import annotations
 
 import random
+import struct
+from array import array
 
-from repro.codegen import CodeRegion
+from repro.codegen import M_DATA, AddressModel, CodeRegion
 from repro.kernel.syscalls import SyscallKind, SyscallModel
 from repro.runtime.clr import Clr, ClrImage, shared_clr_image
 from repro.runtime.gc import GcConfig
@@ -33,26 +35,50 @@ from repro.workloads.spec import SuiteName, WorkloadSpec
 _LINE = 64
 
 
-class DataModel:
-    """Data-address generators implementing the spec's locality profile.
+# DataModel vector layout: mirrors the D_* enum of _walk.c.
+(D_LIVE, D_LIVE_N, D_STACK_BASE, D_STREAM_BASE, D_STREAM_SPAN,
+ D_NATIVE_BASE, D_NATIVE_PAGES, D_HOT_PAGES, D_STACK_LINES, D_SLOT_LINES,
+ D_F_STREAM, D_F_REUSE, D_F_STACK, D_F_FRESH, D_F_CHASE, D_F_COLD,
+ D_F_SKEW, D_F_STORE_STACK,
+ D_CURSOR, D_RECENT_N, D_RECENT_HEAD, D_WARM_N, D_WARM_IDX,
+ D_EPISODE_N, D_EPISODE_IDX, D_RECENT) = range(1, 27)
+RECENT_CAP = 6
+WARM_CAP = 400
+EPISODE_CAP = 6000
+D_WARM = D_RECENT + RECENT_CAP
+D_EPISODE = D_WARM + WARM_CAP
 
-    ``load_addr``/``store_addr`` are the callables handed to
-    :meth:`repro.codegen.CodeRegion.walk_into`; they sample the stack, the
-    streaming buffers, the native working set and (for managed programs)
-    the live object set according to the spec's fractions.
+
+def _bits(x: float) -> int:
+    """A double's IEEE-754 bit pattern as an int64 (how the vector
+    carries float parameters)."""
+    return struct.unpack("<q", struct.pack("<d", x))[0]
+
+
+class DataModel(AddressModel):
+    """Data-address model implementing the spec's locality profile.
+
+    The address model (:class:`repro.codegen.AddressModel`) of a
+    program's own code: :meth:`load` and :meth:`store` sample the stack,
+    the streaming buffers, the native working set and (for managed
+    programs) the live object set according to the spec's fractions.
+    ``live_addrs`` is the live set's ``array('q')``
+    (:attr:`repro.runtime.heap.LongLivedSet.addrs`), aliased by address:
+    the GC moves objects in place and the next draw sees it.
     """
+
+    __slots__ = ("spec", "live_addrs", "native_base", "stream_base",
+                 "_stream_span", "_native_pages", "_hot_pages",
+                 "_stack_lines", "_slot_lines", "_store_stack_frac")
 
     STACK_BYTES = 4 * 1024
 
-    def __init__(self, spec: WorkloadSpec, rng: random.Random,
-                 live_addrs: list[int] | None,
+    def __init__(self, spec: WorkloadSpec, live_addrs: array | None,
                  native_base: int, stream_base: int) -> None:
         self.spec = spec
-        self.rng = rng
         self.live_addrs = live_addrs
         self.native_base = native_base
         self.stream_base = stream_base
-        self._stream_cursor = 0
         self._stream_span = max(_LINE, spec.stream_bytes)
         self._native_pages = max(1, spec.native_ws_bytes // 4096)
         self._hot_pages = max(1, min(spec.hot_ws_bytes,
@@ -60,44 +86,54 @@ class DataModel:
                                      spec.hot_ws_bytes) // 4096)
         self._stack_lines = self.STACK_BYTES // _LINE
         self._slot_lines = max(1, spec.object_slot // _LINE)
+        self._store_stack_frac = min(0.9, spec.stack_frac * 1.6)
         # Stack-distance cascade.  Real access streams are dominated by
         # short stack distances; three recency tiers model that:
         #   ring0 (burst, ~6 addrs)      -> L1 hits
         #   ring1 (warm, ~400 addrs)     -> L2-distance revisits
         #   ring2 (episode, ~6000 addrs) -> LLC-distance revisits
         # Only ``fresh_new_frac`` of non-burst draws sample the global
-        # distribution (deep distances: compulsory / DRAM).
-        self._recent: list[int] = []
-        self._recent_cap = 6
-        self._warm: list[int] = []
-        self._warm_cap = 400
-        self._warm_idx = 0
-        self._episode: list[int] = []
-        self._episode_cap = 6000
-        self._episode_idx = 0
+        # distribution (deep distances: compulsory / DRAM).  The tiers,
+        # their fill counts and cursors and the stream cursor are the
+        # vector's state (D_CURSOR onwards).
+        if live_addrs is not None and not len(live_addrs):
+            raise ValueError("a managed program's live object set is empty")
+        live = live_addrs.buffer_info() if live_addrs is not None \
+            else (0, 0)
+        params = (
+            M_DATA, *live, REGION_STACK_BASE, stream_base,
+            self._stream_span, native_base, self._native_pages,
+            self._hot_pages, self._stack_lines, self._slot_lines,
+            *map(_bits, (spec.stream_frac, spec.temporal_reuse,
+                         spec.stack_frac, spec.fresh_new_frac,
+                         spec.pointer_chase_frac, spec.cold_frac,
+                         spec.hot_skew, self._store_stack_frac)))
+        super().__init__(params + (0,) * (D_EPISODE + EPISODE_CAP
+                                          - len(params)))
 
     # -- individual generators -------------------------------------------
-    def stack_addr(self) -> int:
+    def stack_addr(self, rng) -> int:
         # Strong locality: geometric concentration near the stack top.
-        r = self.rng.random()
+        r = rng.random()
         line = int(r * r * self._stack_lines)
         return REGION_STACK_BASE + line * _LINE
 
     def stream_addr(self) -> int:
         # 8-byte stride: eight consecutive reads share a line, so streams
         # mostly hit L1 and train the L2 stream prefetcher.
-        self._stream_cursor = (self._stream_cursor + 8) % self._stream_span
-        return self.stream_base + self._stream_cursor
+        m = self.m
+        cursor = m[D_CURSOR] = (m[D_CURSOR] + 8) % self._stream_span
+        return self.stream_base + cursor
 
-    def hot_object_addr(self) -> int:
+    def hot_object_addr(self, rng) -> int:
         addrs = self.live_addrs
-        idx = int(len(addrs) * self.rng.random() ** self.spec.hot_skew)
+        idx = int(len(addrs) * rng.random() ** self.spec.hot_skew)
         base = addrs[idx]
         if self._slot_lines > 1:
-            base += int(self.rng.random() * self._slot_lines) * _LINE
+            base += int(rng.random() * self._slot_lines) * _LINE
         return base
 
-    def native_addr(self, uniform: bool = False) -> int:
+    def native_addr(self, rng, uniform: bool = False) -> int:
         """Two-tier page-then-line sampling of the native working set.
 
         Hot draws concentrate (zipf-like) on a resident hot region; a
@@ -107,7 +143,6 @@ class DataModel:
         working sets are page-dense, which is what keeps SPEC dTLB rates
         sane while its caches still miss.
         """
-        rng = self.rng
         if uniform or rng.random() < self.spec.cold_frac:
             page = int(rng.random() * self._native_pages)
         else:
@@ -116,68 +151,86 @@ class DataModel:
                 + int(rng.random() * 64) * _LINE)
 
     def _remember(self, addr: int) -> int:
-        recent = self._recent
-        if len(recent) >= self._recent_cap:
-            recent.pop(0)
-        recent.append(addr)
-        warm = self._warm
-        if len(warm) < self._warm_cap:
-            warm.append(addr)
+        m = self.m
+        n = m[D_RECENT_N]
+        if n < RECENT_CAP:
+            m[D_RECENT + n] = addr
+            m[D_RECENT_N] = n + 1
         else:
-            warm[self._warm_idx] = addr
-            self._warm_idx = (self._warm_idx + 1) % self._warm_cap
-        episode = self._episode
-        if len(episode) < self._episode_cap:
-            episode.append(addr)
+            head = m[D_RECENT_HEAD]
+            m[D_RECENT + head] = addr
+            m[D_RECENT_HEAD] = (head + 1) % RECENT_CAP
+        n = m[D_WARM_N]
+        if n < WARM_CAP:
+            m[D_WARM + n] = addr
+            m[D_WARM_N] = n + 1
         else:
-            episode[self._episode_idx] = addr
-            self._episode_idx = (self._episode_idx + 1) % self._episode_cap
+            k = m[D_WARM_IDX]
+            m[D_WARM + k] = addr
+            m[D_WARM_IDX] = (k + 1) % WARM_CAP
+        n = m[D_EPISODE_N]
+        if n < EPISODE_CAP:
+            m[D_EPISODE + n] = addr
+            m[D_EPISODE_N] = n + 1
+        else:
+            k = m[D_EPISODE_IDX]
+            m[D_EPISODE + k] = addr
+            m[D_EPISODE_IDX] = (k + 1) % EPISODE_CAP
         return addr
 
-    def _fresh_load(self) -> int:
+    def _revisit(self, rng) -> int | None:
+        """A burst-ring revisit (oldest first, as a FIFO), or ``None``."""
+        m = self.m
+        n = m[D_RECENT_N]
+        if n and rng.random() < self.spec.temporal_reuse:
+            k = int(rng.random() * n)
+            return m[D_RECENT + (m[D_RECENT_HEAD] + k) % RECENT_CAP]
+        return None
+
+    def _fresh_object(self, rng) -> int:
+        if self.live_addrs is not None:
+            return self._remember(self.hot_object_addr(rng))
+        return self._remember(self.native_addr(rng))
+
+    def _fresh_load(self, rng) -> int:
         s = self.spec
-        rng = self.rng
+        m = self.m
         r = rng.random()
         if r < s.stack_frac:
-            return self.stack_addr()
+            return self.stack_addr(rng)
         # Recency-tier revisits before any genuinely new sample.
         if rng.random() >= s.fresh_new_frac:
-            if self._warm and rng.random() < 0.6:
-                return self._warm[int(rng.random() * len(self._warm))]
-            if self._episode:
-                return self._episode[int(rng.random()
-                                         * len(self._episode))]
+            n = m[D_WARM_N]
+            if n and rng.random() < 0.6:
+                return m[D_WARM + int(rng.random() * n)]
+            n = m[D_EPISODE_N]
+            if n:
+                return m[D_EPISODE + int(rng.random() * n)]
         r = rng.random()
         if s.pointer_chase_frac and r < s.pointer_chase_frac:
-            return self.native_addr(uniform=True)
-        if self.live_addrs is not None:
-            return self._remember(self.hot_object_addr())
-        return self._remember(self.native_addr())
+            return self.native_addr(rng, uniform=True)
+        return self._fresh_object(rng)
 
     # -- the mixture entry points -----------------------------------------
-    def load_addr(self) -> int:
-        rng = self.rng
+    def load(self, rng) -> int:
         s = self.spec
         # Streaming loads keep their own (sequential) locality and bypass
         # the reuse ring — they are the stream share of *all* loads.
         if s.stream_frac and rng.random() < s.stream_frac:
             return self.stream_addr()
-        recent = self._recent
-        if recent and rng.random() < s.temporal_reuse:
-            return recent[int(rng.random() * len(recent))]
-        return self._fresh_load()
+        addr = self._revisit(rng)
+        if addr is not None:
+            return addr
+        return self._fresh_load(rng)
 
-    def store_addr(self) -> int:
-        s = self.spec
-        recent = self._recent
-        if recent and self.rng.random() < s.temporal_reuse:
-            return recent[int(self.rng.random() * len(recent))]
+    def store(self, rng) -> int:
+        addr = self._revisit(rng)
+        if addr is not None:
+            return addr
         # Fresh stores skew further towards the stack (spills, locals).
-        if self.rng.random() < min(0.9, s.stack_frac * 1.6):
-            return self.stack_addr()
-        if self.live_addrs is not None:
-            return self._remember(self.hot_object_addr())
-        return self._remember(self.native_addr())
+        if rng.random() < self._store_stack_frac:
+            return self.stack_addr(rng)
+        return self._fresh_object(rng)
 
 
 class NativeProgram:
@@ -193,7 +246,7 @@ class NativeProgram:
                                mix=spec.mix_profile())
         native_base = REGION_STACK_BASE + 0x100000
         stream_base = native_base + max(spec.native_ws_bytes, _LINE)
-        self.data = DataModel(spec, self.rng, live_addrs=None,
+        self.data = DataModel(spec, live_addrs=None,
                               native_base=native_base,
                               stream_base=stream_base)
         self._native_span = (native_base,
@@ -228,9 +281,7 @@ class NativeProgram:
         walk_into = self.code.walk_into
         target = buf.n_instructions + n_instructions
         while buf.n_instructions < target:
-            walk_into(buf, rng, 4096,
-                      load_addr=data.load_addr,
-                      store_addr=data.store_addr)
+            walk_into(buf, rng, 4096, data)
         return False
 
 
@@ -281,7 +332,7 @@ class ManagedProgram:
             if self.rng.random() < spec.prejit_frac:
                 self.clr.jit.precompile(method)
         stream_base = REGION_STACK_BASE + 0x400000
-        self.data = DataModel(spec, self.rng,
+        self.data = DataModel(spec,
                               live_addrs=self.clr.live_set.addrs,
                               native_base=stream_base,
                               stream_base=stream_base)
@@ -322,9 +373,7 @@ class ManagedProgram:
         for _ in range(depth):
             method = self._pick_method()
             self.clr.enter_method_into(buf, method)
-            method.region.walk_into(
-                buf, rng, per_method,
-                load_addr=data.load_addr, store_addr=data.store_addr)
+            method.region.walk_into(buf, rng, per_method, data)
 
     def _work_item_into(self, buf) -> None:
         spec = self.spec

@@ -1,6 +1,7 @@
 """Tests for the content-addressed trace store."""
 
 import itertools
+from pathlib import Path
 
 import pytest
 
@@ -161,6 +162,33 @@ class TestFingerprint:
 
     def test_default_root_is_cached_and_stable(self):
         assert trace_fingerprint() == trace_fingerprint()
+
+    def test_kernel_sources_split_between_fingerprints(self, tmp_path):
+        """On a copy of the package: the consume kernel's C source is
+        simulator code (result keys change) but not generation code
+        (trace keys hold); the walk's C source is both."""
+        import shutil
+
+        import repro
+        from repro.exec.jobs import code_fingerprint
+
+        root = tmp_path / "repro"
+        shutil.copytree(Path(repro.__file__).parent, root,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+
+        def edit(rel):
+            with (root / rel).open("a") as fh:
+                fh.write("/* edited */\n")
+
+        code = code_fingerprint(root, refresh=True)
+        trace = trace_fingerprint(root, refresh=True)
+        edit("uarch/_kernel.c")
+        assert code_fingerprint(root, refresh=True) != code
+        assert trace_fingerprint(root, refresh=True) == trace
+        code = code_fingerprint(root, refresh=True)
+        edit("_walk.c")
+        assert code_fingerprint(root, refresh=True) != code
+        assert trace_fingerprint(root, refresh=True) != trace
 
 
 class TestTraceIntegrity:

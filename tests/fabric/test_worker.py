@@ -77,8 +77,11 @@ class TestServeOne:
         assert coord.ledger.done_records()[unit.unit_id]["cached"]
 
     def test_heartbeats_flow_during_run(self, tmp_path, specs, machine):
+        from repro.harness.runner import Fidelity
         coord, agent = _pair(tmp_path, heartbeat_interval=0.02)
-        coord.submit(make_jobs(specs[:1], machine))
+        # A window long enough to span several heartbeat intervals.
+        coord.submit(make_jobs(specs[:1], machine, fidelity=Fidelity(
+            warmup_instructions=50_000, measure_instructions=100_000)))
         seen = []
 
         def watch():

@@ -224,11 +224,13 @@ def test_vm_hash_build_counter(tmp_path):
 
 def test_compile_failure_delegates_loudly(monkeypatch, tmp_path):
     """A kernel that fails to build makes default runs delegate to the
-    legacy interpreter: the build error is kept, every delegation is
-    counted by reason (registry metric included), one warning fires per
-    process, and the results stay bit-identical."""
+    legacy interpreter, and their trace generation to the Python
+    walker: the build error is kept, every delegation (consume call or
+    region walk) is counted by reason (registry metric included), one
+    warning fires per process, and the results stay bit-identical."""
     import warnings
 
+    from repro.codegen import CodeRegion
     from repro.harness.runner import Fidelity, run_workload
 
     machine = get_machine("i9")
@@ -246,6 +248,14 @@ def test_compile_failure_delegates_loudly(monkeypatch, tmp_path):
     monkeypatch.setattr(native, "_lib_resolved", False)
     monkeypatch.setattr(native, "_lib_error", None)
     monkeypatch.setattr(native, "_delegation_warned", False)
+    walks = []
+    reference_walk = CodeRegion._walk_reference
+
+    def counted_walk(*args, **kwargs):
+        walks.append(1)
+        return reference_walk(*args, **kwargs)
+
+    monkeypatch.setattr(CodeRegion, "_walk_reference", counted_walk)
     before = dict(native.delegations)
     obs.configure(tmp_path / "obs", spans=False)
     try:
@@ -259,7 +269,8 @@ def test_compile_failure_delegates_loudly(monkeypatch, tmp_path):
     assert not native.available()
     assert "no C compiler built the kernel" in native.last_error()
     delegated = native.delegations["unavailable"] - before["unavailable"]
-    assert delegated == 4                      # warmup + measure, twice
+    assert walks
+    assert delegated == 4 + len(walks)  # warmup + measure, twice; walks
     assert native.delegations["not_nativizable"] == \
         before["not_nativizable"]
     assert snap["counters"][
@@ -337,3 +348,64 @@ def test_require_rejects_unmodelled_core(monkeypatch):
     assert core.consume_stream(
         TraceBufferStream(ops=iter(_ops(300, seed=41))),
         engine="legacy") > 0
+
+
+def _generate(n=20_000):
+    from repro.trace import TraceBuffer
+    from repro.workloads.program import build_program
+    program = build_program(_spec_of("System.Runtime"))
+    buf = TraceBuffer()
+    program.fill_buffer(buf, n)
+    return buf
+
+
+def test_require_fails_generation_without_kernel(monkeypatch):
+    """``REPRO_NATIVE=require``: with a kernel that fails to build, the
+    first region walk raises instead of running on the Python walker,
+    naming the reason and ``native.last_error()``."""
+    _break_kernel(monkeypatch)
+    monkeypatch.setenv("REPRO_NATIVE", "require")
+    before = native.delegations["unavailable"]
+    with pytest.raises(native.DelegationError) as err:
+        _generate()
+    assert "trace generation" in str(err.value)
+    assert "unavailable" in str(err.value)
+    assert native.last_error() in str(err.value)
+    assert native.delegations["unavailable"] == before + 1
+
+
+def test_disabled_kernel_generation_delegates_loudly(monkeypatch):
+    """``REPRO_NATIVE=0``: every region walk runs on the Python walker,
+    each counted as an ``unavailable`` delegation, one warning per
+    process names the reason, and the stream is the kernel's."""
+    import warnings
+
+    from repro.codegen import CodeRegion
+
+    expected = _generate()
+    monkeypatch.setattr(native, "_lib", None)
+    monkeypatch.setattr(native, "_lib_resolved", False)
+    monkeypatch.setattr(native, "_lib_error", None)
+    monkeypatch.setattr(native, "_delegation_warned", False)
+    monkeypatch.setenv("REPRO_NATIVE", "0")
+    walks = []
+    reference_walk = CodeRegion._walk_reference
+
+    def counted_walk(*args, **kwargs):
+        walks.append(1)
+        return reference_walk(*args, **kwargs)
+
+    monkeypatch.setattr(CodeRegion, "_walk_reference", counted_walk)
+    before = native.delegations["unavailable"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = _generate()
+    assert walks
+    assert native.delegations["unavailable"] == before + len(walks)
+    ours = [w for w in caught if issubclass(w.category, RuntimeWarning)
+            and "Python walker" in str(w.message)]
+    assert len(ours) == 1
+    assert "disabled by REPRO_NATIVE=0" in str(ours[0].message)
+    assert [list(c) for c in (got.kinds, got.a0, got.a1, got.a2)] == \
+        [list(c) for c in (expected.kinds, expected.a0, expected.a1,
+                           expected.a2)]

@@ -5,23 +5,20 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.codegen import CodeRegion, MixProfile
+from repro.codegen import CodeRegion, ConstAddress, MixProfile
 from repro.trace import OP_BLOCK, OP_BRANCH, OP_LOAD, OP_STORE, TraceBuffer
 
 
-def walk(region, rng, n, load_addr, store_addr, **kw):
+def walk(region, rng, n, addresses, **kw):
     """``region.walk_into`` a fresh buffer; the ops as tuples."""
     buf = TraceBuffer()
-    region.walk_into(buf, rng, n, load_addr, store_addr, **kw)
+    region.walk_into(buf, rng, n, addresses, **kw)
     return list(buf.iter_ops())
 
 
 def walk_ops(region, n=2000, seed=1):
     rng = random.Random(seed)
-    counter = iter(range(10 ** 9))
-    return walk(region, rng, n,
-                load_addr=lambda: 0x1000 + next(counter) % 64,
-                store_addr=lambda: 0x2000)
+    return walk(region, rng, n, ConstAddress(0x1000))
 
 
 class TestMixProfile:
@@ -75,6 +72,25 @@ class TestConstruction:
         r = CodeRegion(0x1000, 16, seed=1)
         assert r.n_blocks >= 1
 
+    def test_pickled_region_is_rebuilt_and_models_refuse(self):
+        """The walk reads a region's table and a model's vector through
+        raw addresses: a pickled region is rebuilt from its arguments
+        (it walks the same after the original is gone), and a model
+        refuses to be pickled or copied."""
+        import copy
+        import gc
+        import pickle
+        r = CodeRegion(0x1000, 64 * 1024, seed=5)
+        clone = pickle.loads(pickle.dumps(r))
+        expected = walk_ops(r)
+        del r
+        gc.collect()
+        assert walk_ops(clone) == expected
+        with pytest.raises(TypeError):
+            pickle.dumps(ConstAddress(0x1000))
+        with pytest.raises(TypeError):
+            copy.copy(ConstAddress(0x1000))
+
 
 class TestWalk:
     def test_instruction_count_approximate(self):
@@ -113,7 +129,7 @@ class TestWalk:
     def test_kernel_flag_propagates(self):
         r = CodeRegion(0x1000, 8192, seed=1)
         rng = random.Random(0)
-        ops = walk(r, rng, 500, lambda: 0, lambda: 0, is_kernel=True)
+        ops = walk(r, rng, 500, ConstAddress(0), is_kernel=True)
         assert all(op[4] for op in ops if op[0] == OP_BLOCK)
 
     def test_loop_blocks_repeat_backedge(self):
@@ -127,7 +143,7 @@ class TestWalk:
     def test_entry_parameter_honored(self):
         r = CodeRegion(0x1000, 8192, seed=1)
         rng = random.Random(0)
-        ops = walk(r, rng, 50, lambda: 0, lambda: 0, entry=0)
+        ops = walk(r, rng, 50, ConstAddress(0), entry=0)
         first_block = next(op for op in ops if op[0] == OP_BLOCK)
         assert first_block[1] == r._pc[0]
 
@@ -138,7 +154,7 @@ class TestWalk:
     def test_chunk_excursions_reach_high_addresses(self):
         r = CodeRegion(0x100_0000, 16 * 1024 * 1024, seed=1)
         rng = random.Random(0)
-        pcs = [op[1] for op in walk(r, rng, 200_000, lambda: 0, lambda: 0)
+        pcs = [op[1] for op in walk(r, rng, 200_000, ConstAddress(0))
                if op[0] == OP_BLOCK]
         assert max(pcs) >= 0x100_0000 + 1024 * 1024
 
@@ -149,7 +165,7 @@ class TestWalk:
 def test_property_walk_yields_valid_ops(size, seed):
     r = CodeRegion(0x1000, size, seed=seed)
     rng = random.Random(seed)
-    for op in walk(r, rng, 400, lambda: 0x7000, lambda: 0x8000):
+    for op in walk(r, rng, 400, ConstAddress(0x7000)):
         assert op[0] in (OP_BLOCK, OP_BRANCH, OP_LOAD, OP_STORE)
         if op[0] == OP_BLOCK:
             assert op[2] >= 0 and op[3] > 0

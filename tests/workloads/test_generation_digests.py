@@ -9,6 +9,11 @@ cases rarely reach (exceptions, tier-1 re-JIT, the Large Object Heap,
 syscalls).  Any change to an emitted op or to the RNG call order moves
 a digest.
 
+Every case runs on both generators — the kernel's region layouts and
+walks, and their Python references (:func:`repro.codegen._layout_reference`
+and :meth:`repro.codegen.CodeRegion._walk_reference`) — against the same
+digest, and the trace files the two write must be byte-identical.
+
 A digest may change only with an intended change to workload
 generation; regenerate with ``python tests/workloads/
 test_generation_digests.py`` and say why in the commit.
@@ -16,12 +21,16 @@ test_generation_digests.py`` and say why in the commit.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import hashlib
 
 import numpy as np
 import pytest
 
+from repro import codegen
+from repro.codegen import CodeRegion
+from repro.perf.trace_io import record_buffers
 from repro.runtime.gc import GcConfig
 from repro.runtime.heap import HeapConfig
 from repro.trace import (EV_EXCEPTION, EV_JIT_CODE_MOVED, OP_BLOCK,
@@ -55,18 +64,42 @@ DIGESTS = {
 }
 
 
-def _generate(name, kw):
+#: The generator each case runs on: ``native`` is the default (the
+#: kernel, or under ``REPRO_NATIVE=0`` its fallback), ``reference`` the
+#: Python layout and walk.
+WALKERS = ("native", "reference")
+
+#: Cases whose two walks must write identical trace files: every pinned
+#: case plus the code-bloat ablation (the Arm code path).
+PARITY_CASES = list(DIGESTS) + [("Json", (("code_bloat", 3.0),))]
+
+
+@contextlib.contextmanager
+def _walker(walker):
+    if walker == "native":
+        yield
+        return
+    saved = CodeRegion.walk_into, codegen._kernel
+    CodeRegion.walk_into = CodeRegion._walk_reference
+    codegen._kernel = lambda: None      # regions lay out in numpy
+    try:
+        yield
+    finally:
+        CodeRegion.walk_into, codegen._kernel = saved
+
+
+def _generate(name, kw, walker="native"):
     spec = next(s for s in dotnet_category_specs() + aspnet_specs()
                 + speccpu_specs() if s.name == name)
     gc_config = GcConfig()
     heap_config = HeapConfig(max_heap_bytes=gc_config.max_heap_bytes,
                              gen0_budget_bytes=gc_config.gen0_budget())
-    program = build_program(spec, seed=0, heap_config=heap_config,
-                            gc_config=gc_config,
-                            code_bloat=get_machine("i9").code_bloat,
-                            **dict(kw))
-    buf = TraceBuffer()
-    program.fill_buffer(buf, N_INSTRUCTIONS)
+    kwargs = {"code_bloat": get_machine("i9").code_bloat, **dict(kw)}
+    with _walker(walker):
+        program = build_program(spec, seed=0, heap_config=heap_config,
+                                gc_config=gc_config, **kwargs)
+        buf = TraceBuffer()
+        program.fill_buffer(buf, N_INSTRUCTIONS)
     return program, buf
 
 
@@ -80,9 +113,9 @@ def _digest(program, buf) -> str:
 
 
 @functools.lru_cache(maxsize=None)
-def _pinned(name, kw):
+def _pinned(name, kw, walker="native"):
     """(digest, runtime paths reached) of one case, generated once."""
-    program, buf = _generate(name, kw)
+    program, buf = _generate(name, kw, walker)
     reached = {kind for kind, _ in buf.events}
     kinds = np.asarray(buf.kinds)
     a2 = np.asarray(buf.a2, dtype=np.int64)
@@ -94,11 +127,36 @@ def _pinned(name, kw):
     return _digest(program, buf), frozenset(reached)
 
 
+def _case_id(case):
+    name, kw = case
+    return name + "".join(f"+{k}" for k, _ in kw)
+
+
 @pytest.mark.parametrize("name,kw", list(DIGESTS),
-                         ids=[n + "".join(f"+{k}" for k, _ in kw)
-                              for n, kw in DIGESTS])
+                         ids=[_case_id(c) for c in DIGESTS])
 def test_generated_stream_is_pinned(name, kw):
     assert _pinned(name, kw)[0] == DIGESTS[(name, kw)]
+
+
+@pytest.mark.parametrize("name,kw", list(DIGESTS),
+                         ids=[_case_id(c) for c in DIGESTS])
+def test_reference_walk_is_pinned(name, kw):
+    """The same digests from the Python reference layout and walk."""
+    assert _pinned(name, kw, "reference")[0] == DIGESTS[(name, kw)]
+
+
+@pytest.mark.parametrize("name,kw", PARITY_CASES,
+                         ids=[_case_id(c) for c in PARITY_CASES])
+def test_walkers_record_identical_files(name, kw, tmp_path):
+    """The encoded trace — every column byte, the events, the chunk's
+    instruction count — is the same whichever generator wrote it."""
+    files = []
+    for walker in WALKERS:
+        _, buf = _generate(name, kw, walker)
+        path = tmp_path / f"{walker}.trace"
+        record_buffers([buf], path)
+        files.append(path.read_bytes())
+    assert files[0] == files[1]
 
 
 def test_pinned_streams_cover_the_runtime_paths():

@@ -171,36 +171,38 @@ class TestNativeProgram:
 class TestDataModel:
     def make(self, **over):
         import random
+        from array import array
         base = spec_by_name("System.Runtime")
         from dataclasses import replace
         spec = replace(base, **over)
-        live = [0x9000_0000 + i * 64 for i in range(100)]
-        return DataModel(spec, random.Random(0), live_addrs=live,
-                         native_base=0xA000_0000, stream_base=0xB000_0000)
+        live = array("q", [0x9000_0000 + i * 64 for i in range(100)])
+        return DataModel(spec, live_addrs=live, native_base=0xA000_0000,
+                         stream_base=0xB000_0000), random.Random(0)
 
     def test_load_addr_positive(self):
-        dm = self.make()
+        dm, rng = self.make()
         for _ in range(500):
-            assert dm.load_addr() > 0
+            assert dm.load(rng) > 0
 
     def test_stream_addresses_sequential(self):
-        dm = self.make(stream_frac=1.0)
-        addrs = [dm.load_addr() for _ in range(32)]
+        dm, rng = self.make(stream_frac=1.0)
+        addrs = [dm.load(rng) for _ in range(32)]
         deltas = {b - a for a, b in zip(addrs, addrs[1:])}
         assert deltas == {8}
 
     def test_temporal_reuse_repeats_addresses(self):
-        dm = self.make(stream_frac=0.0, temporal_reuse=0.95, stack_frac=0.0)
-        addrs = [dm.load_addr() for _ in range(2000)]
+        dm, rng = self.make(stream_frac=0.0, temporal_reuse=0.95,
+                            stack_frac=0.0)
+        addrs = [dm.load(rng) for _ in range(2000)]
         assert len(set(addrs)) < len(addrs) * 0.5
 
     def test_zero_reuse_spreads(self):
-        dm = self.make(stream_frac=0.0, temporal_reuse=0.0, stack_frac=0.0,
-                       fresh_new_frac=1.0)
-        addrs = [dm.load_addr() for _ in range(500)]
+        dm, rng = self.make(stream_frac=0.0, temporal_reuse=0.0,
+                            stack_frac=0.0, fresh_new_frac=1.0)
+        addrs = [dm.load(rng) for _ in range(500)]
         assert len(set(addrs)) > 50
 
     def test_store_addr_valid(self):
-        dm = self.make()
+        dm, rng = self.make()
         for _ in range(200):
-            assert dm.store_addr() > 0
+            assert dm.store(rng) > 0
